@@ -111,6 +111,13 @@ def _check_keys(section: str, data: dict):
         raise ConfigError(f"unknown key(s) in '{section}': {', '.join(sorted(unknown))}")
 
 
+def _positive_int(value, name: str) -> int:
+    """A JSON integer >= 1; floats and booleans are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 class RunConfig:
     """Parsed, validated run configuration with a canonical echo form."""
 
@@ -185,7 +192,7 @@ class RunConfig:
             dt_min=float(tm.get("dt_min", dt_init * 1e-8)),
             blowup_ratio=float(tm.get("blowup_ratio", 1e3)),
             safety=float(tm.get("safety", 0.5)),
-            record_every=int(tm.get("record_every", 1)),
+            record_every=_positive_int(tm.get("record_every", 1), "time.record_every"),
         )
 
         init = dict(raw["initial"])
@@ -198,7 +205,10 @@ class RunConfig:
         out = dict(raw.get("output", {}))
         _check_keys("output", out)
         self.out_dir = Path(out.get("directory", "runs"))
-        self.dump_fields = bool(out.get("dump_fields", False))
+        dump_fields = out.get("dump_fields", False)
+        if not isinstance(dump_fields, bool):
+            raise ConfigError(f"output.dump_fields must be true or false, got {dump_fields!r}")
+        self.dump_fields = dump_fields
 
     def canonical(self) -> dict:
         """Canonical echo: sigma resolved to its exact rational string."""

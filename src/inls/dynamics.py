@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -86,6 +87,7 @@ class RunOutcome:
     steps: int = 0
 
 
+@lru_cache(maxsize=64)
 def _dealias_mask(grid: GridSpec):
     k1 = scipy.fft.fftfreq(grid.points) * grid.points
     keep1 = np.abs(k1) <= grid.points / 3.0
@@ -96,29 +98,67 @@ def _dealias_mask(grid: GridSpec):
     return keep
 
 
-def strang_step(u: Field, cfg: SimConfig, dt: float) -> Field:
+def _unit_phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for a real angle, built as cos + i sin: about half the
+    cost of a complex exp."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _kinetic_propagator(grid: GridSpec, dt: float, dealias: bool) -> np.ndarray:
+    """exp(-i dt |xi|^2), masked when dealiasing; cached for the last dt,
+    which is the next one in most runs."""
+    prop = _unit_phase(-dt * wavenumber_sq_values(grid))
+    if dealias:
+        prop *= _dealias_mask(grid)
+    prop.flags.writeable = False  # shared by every caller with this dt
+    return prop
+
+
+def nonlinear_density(u: Field, cfg: SimConfig) -> np.ndarray:
+    """w |u|^sigma: the rate of the nonlinear phase.  ``run`` computes it
+    once per step and hands it to ``adapt_dt`` and the stepper."""
+    return weight_values(u.grid, cfg.weight) * np.abs(u.values) ** cfg.sigma
+
+
+def strang_step(
+    u: Field, cfg: SimConfig, dt: float, density: Optional[np.ndarray] = None
+) -> Field:
     """One Strang step on a tensor grid: half nonlinear phase, exact spectral
-    free flight, half nonlinear phase."""
+    free flight, half nonlinear phase.  ``density`` is
+    ``nonlinear_density(u, cfg)`` when the caller already has it."""
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
     grid = u.grid
-    w = weight_values(grid, cfg.weight)
-    sig = cfg.sigma
+    half_angle = -0.5 * dt * cfg.lam
     v = u.values
     if cfg.lam != 0.0:
-        v = v * np.exp(-0.5j * dt * cfg.lam * w * np.abs(v) ** sig)
-    vhat = scipy.fft.fftn(v, workers=thread_count())
-    vhat *= np.exp(-1j * dt * wavenumber_sq_values(grid))
-    if cfg.dealias:
-        vhat *= _dealias_mask(grid)
-    v = scipy.fft.ifftn(vhat, workers=thread_count())
+        if density is None:
+            density = nonlinear_density(u, cfg)
+        v = _unit_phase(half_angle * density)
+        v *= u.values
+        del density  # not needed past here; the FFTs below run in place
+    vhat = scipy.fft.fftn(v, workers=thread_count(), overwrite_x=v is not u.values)
+    vhat *= _kinetic_propagator(grid, dt, cfg.dealias)
+    out = Field(
+        grid=grid,
+        values=scipy.fft.ifftn(vhat, workers=thread_count(), overwrite_x=True),
+        time_tag=u.time_tag + dt,
+    )
     if cfg.lam != 0.0:
-        v = v * np.exp(-0.5j * dt * cfg.lam * w * np.abs(v) ** sig)
-    return Field(grid=grid, values=v, time_tag=u.time_tag + dt)
+        out.values *= _unit_phase(half_angle * nonlinear_density(out, cfg))
+    return out
 
 
 def radial_cn_step(
-    u: Field, cfg: SimConfig, dt: float, phi: Optional[np.ndarray] = None
+    u: Field,
+    cfg: SimConfig,
+    dt: float,
+    phi: Optional[np.ndarray] = None,
+    density: Optional[np.ndarray] = None,
 ):
     """One relaxed Crank-Nicolson step on a radial grid.
 
@@ -126,16 +166,16 @@ def radial_cn_step(
     relaxation update phi_next = 2 w |u|^sigma - phi, then the linear system
     (1 - i dt/2 (Lap - lam phi_next)) u_next = (1 + i dt/2 (Lap - lam phi_next)) u
     is solved by a tridiagonal solve.  ``phi`` is the previous half-step
-    density; a cold start uses w |u|^sigma.
+    density; a cold start uses w |u|^sigma.  ``density`` is
+    ``nonlinear_density(u, cfg)`` when the caller already has it.
 
     Returns ``(field, phi_next)``; thread phi_next into the following call.
     """
     if u.grid.kind != "radial":
         raise ValueError("radial_cn_step runs on radial grids")
     grid = u.grid
-    w = weight_values(grid, cfg.weight)
-    sig = cfg.sigma
-    density = w * np.abs(u.values) ** sig
+    if density is None:
+        density = nonlinear_density(u, cfg)
     if phi is None:
         phi = density
     phi_next = 2.0 * density - phi
@@ -148,25 +188,34 @@ def radial_cn_step(
     rhs = v + half * (m_diag * v)
     rhs[:-1] += half * upper[:-1] * v[1:]
     rhs[1:] += half * lower[1:] * v[:-1]
-    # banded matrix for (1 - i dt/2 M)
-    ab = np.zeros((3, grid.points), dtype=np.complex128)
-    ab[0, 1:] = -half * upper[:-1]
-    ab[1, :] = 1.0 - half * m_diag
-    ab[2, :-1] = -half * lower[1:]
+    # banded matrix for (1 - i dt/2 M); the corners ab[0, 0], ab[2, -1]
+    # are padding the solver never reads
+    ab = np.empty((3, grid.points), dtype=np.complex128)
+    np.multiply(-half, upper[:-1], out=ab[0, 1:])
+    np.multiply(half, m_diag, out=ab[1])
+    np.subtract(1.0, ab[1], out=ab[1])
+    np.multiply(-half, lower[1:], out=ab[2, :-1])
+    # unchecked: a non-finite field is caught by run's check after the step
     try:
-        v_next = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        v_next = scipy.linalg.solve_banded(
+            (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+        )
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FloatingPointError(f"tridiagonal solve failed: {exc}") from exc
     return Field(grid=grid, values=v_next, time_tag=u.time_tag + dt), phi_next
 
 
-def adapt_dt(u: Field, cfg: SimConfig, dt_prev: float) -> float:
+def adapt_dt(
+    u: Field, cfg: SimConfig, dt_prev: float, density: Optional[np.ndarray] = None
+) -> float:
     """Next step size: cap the nonlinear phase rotation per step at
-    ``safety`` radians, clamped to [dt_min, dt_init]."""
+    ``safety`` radians, clamped to [dt_min, dt_init].  ``density`` is
+    ``nonlinear_density(u, cfg)`` when the caller already has it."""
     if cfg.lam == 0.0:
         return cfg.dt_init
-    w = weight_values(u.grid, cfg.weight)
-    rate = abs(cfg.lam) * float(np.max(w * np.abs(u.values) ** cfg.sigma))
+    if density is None:
+        density = nonlinear_density(u, cfg)
+    rate = abs(cfg.lam) * float(np.max(density))
     if rate <= 0.0:
         return cfg.dt_init
     dt = min(cfg.dt_init, cfg.safety / rate)
@@ -196,7 +245,8 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     t_stop = cfg.t_end * (1.0 - 1e-12)
 
     while t < t_stop:
-        dt = adapt_dt(u, cfg, dt_prev)
+        density = nonlinear_density(u, cfg) if cfg.lam != 0.0 else None
+        dt = adapt_dt(u, cfg, dt_prev, density)
         if dt <= cfg.dt_min:
             pinned += 1
             if pinned >= 10:
@@ -207,9 +257,9 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         dt_step = min(dt, cfg.t_end - t)
         try:
             if cfg.grid.kind == "tensor":
-                u = strang_step(u, cfg, dt_step)
+                u = strang_step(u, cfg, dt_step, density)
             else:
-                u, phi = radial_cn_step(u, cfg, dt_step, phi)
+                u, phi = radial_cn_step(u, cfg, dt_step, phi, density)
         except FloatingPointError:
             termination = "non_finite"
             break

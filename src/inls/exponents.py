@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 CRITICAL = "critical"
@@ -150,9 +151,10 @@ class CriticalityParams:
         if self.lambda_sign not in LAMBDA_SIGNS:
             raise ValueError(f"lambda_sign must be one of {LAMBDA_SIGNS}")
 
-    @property
+    @cached_property
     def sigma_value(self) -> Fraction:
-        """The nonlinearity power, resolving the critical marker."""
+        """The nonlinearity power, resolving the critical marker (once per
+        instance: the time steppers read it every step)."""
         if self.sigma == CRITICAL:
             return critical_power(self.n, self.s, self.b)  # finite: s < n/2
         return self.sigma

@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import numpy.linalg as la
 import pytest
+import scipy.fft
+import scipy.linalg
 
+from inls import exponents
 from inls.dynamics import SimConfig, adapt_dt, radial_cn_step, run, strang_step
 from inls.exponents import CRITICAL, CriticalityParams
 from inls.grids import (
@@ -16,6 +19,9 @@ from inls.grids import (
     hs_norm,
     mass,
     mesh,
+    radial_laplacian_bands,
+    wavenumber_sq_values,
+    weight_values,
 )
 
 
@@ -228,3 +234,143 @@ class TestSimConfigValidation:
     def test_blowup_ratio_range(self, free_2d_config):
         with pytest.raises(ValueError):
             replace(free_2d_config, blowup_ratio=1.0)
+
+
+# -- oracles: the steppers as first written, before per-run constants were
+# cached and the phases built from real angles ------------------------------
+
+def _reference_radial_step(v, cfg, dt, phi):
+    grid = cfg.grid
+    density = weight_values(grid, cfg.weight) * np.abs(v) ** cfg.sigma
+    if phi is None:
+        phi = density
+    phi_next = 2.0 * density - phi
+    lower, diag, upper = radial_laplacian_bands(grid)
+    m_diag = diag - cfg.lam * phi_next
+    half = 0.5j * dt
+    rhs = v + half * (m_diag * v)
+    rhs[:-1] += half * upper[:-1] * v[1:]
+    rhs[1:] += half * lower[1:] * v[:-1]
+    ab = np.zeros((3, grid.points), dtype=np.complex128)
+    ab[0, 1:] = -half * upper[:-1]
+    ab[1, :] = 1.0 - half * m_diag
+    ab[2, :-1] = -half * lower[1:]
+    return scipy.linalg.solve_banded((1, 1), ab, rhs), phi_next
+
+
+def _reference_strang_step(v, cfg, dt):
+    grid = cfg.grid
+    w = weight_values(grid, cfg.weight)
+    if cfg.lam != 0.0:
+        v = v * np.exp(-0.5j * dt * cfg.lam * w * np.abs(v) ** cfg.sigma)
+    vhat = scipy.fft.fftn(v)
+    vhat *= np.exp(-1j * dt * wavenumber_sq_values(grid))
+    v = scipy.fft.ifftn(vhat)
+    if cfg.lam != 0.0:
+        v = v * np.exp(-0.5j * dt * cfg.lam * w * np.abs(v) ** cfg.sigma)
+    return v
+
+
+def _focusing_3d_config():
+    grid = GridSpec.tensor(3, 12.0, 32)
+    params = CriticalityParams(
+        n=3, s=Fraction(1), b=Fraction(1, 2), sigma=CRITICAL, lambda_sign="focusing"
+    )
+    return SimConfig(
+        params=params,
+        grid=grid,
+        weight=PotentialWeight(b=0.5, delta=0.25),
+        lam=-1.0,
+        dt_init=1e-3,
+        t_end=0.1,
+        dt_min=1e-12,
+    )
+
+
+class TestMatchesOriginalSteppers:
+    def test_radial_step_bitwise_with_varying_dt(self):
+        grid = GridSpec.radial(3, 16.0, 512)
+        params = CriticalityParams(
+            n=3, s=Fraction(1), b=Fraction(1, 2), sigma=CRITICAL, lambda_sign="focusing"
+        )
+        cfg = SimConfig(
+            params=params,
+            grid=grid,
+            weight=PotentialWeight(b=0.5, delta=0.0),
+            lam=-1.0,
+            dt_init=1e-3,
+            t_end=1.0,
+            dt_min=1e-12,
+        )
+        u = gaussian_field(grid, 1.5, 1.0)
+        v, phi_ref, phi = u.values.copy(), None, None
+        for k in range(200):
+            dt = 1e-3 * (1.0 + 0.5 * math.sin(0.7 * k))
+            v, phi_ref = _reference_radial_step(v, cfg, dt, phi_ref)
+            u, phi = radial_cn_step(u, cfg, dt, phi)
+            assert np.array_equal(u.values, v), f"diverged at step {k}"
+            assert np.array_equal(phi, phi_ref)
+
+    def test_strang_matches_complex_exp_2d_defocusing(self, defocusing_2d_config):
+        cfg = defocusing_2d_config
+        u = gaussian_field(cfg.grid, 1.0, 1.0)
+        v = u.values.copy()
+        for _ in range(1000):
+            v = _reference_strang_step(v, cfg, 1e-3)
+            u = strang_step(u, cfg, 1e-3)
+        assert la.norm(u.values - v) / la.norm(v) <= 1e-12
+
+    def test_strang_matches_complex_exp_3d_focusing(self):
+        cfg = _focusing_3d_config()
+        u = gaussian_field(cfg.grid, 1.0, 1.0)
+        v = u.values.copy()
+        for k in range(20):
+            dt = 1e-3 if k % 5 else 7e-4  # a dt change rebuilds the propagator
+            v = _reference_strang_step(v, cfg, dt)
+            u = strang_step(u, cfg, dt)
+        assert la.norm(u.values - v) / la.norm(v) <= 1e-12
+
+    def test_shared_density_changes_nothing(self):
+        cfg = _focusing_3d_config()
+        u = gaussian_field(cfg.grid, 1.0, 1.0)
+        density = weight_values(cfg.grid, cfg.weight) * np.abs(u.values) ** cfg.sigma
+        assert adapt_dt(u, cfg, 1e-3, density) == adapt_dt(u, cfg, 1e-3)
+        shared = strang_step(u, cfg, 1e-3, density)
+        assert np.array_equal(shared.values, strang_step(u, cfg, 1e-3).values)
+
+    def test_critical_power_resolved_once_per_run(self, monkeypatch):
+        calls = []
+        original = exponents.critical_power
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(exponents, "critical_power", counting)
+        grid = GridSpec.radial(3, 12.0, 256)
+        params = CriticalityParams(
+            n=3, s=Fraction(1), b=Fraction(1, 2), sigma=CRITICAL, lambda_sign="focusing"
+        )
+        cfg = SimConfig(
+            params=params,
+            grid=grid,
+            weight=PotentialWeight(b=0.5, delta=0.0),
+            lam=-1.0,
+            dt_init=1e-3,
+            t_end=0.1,
+            dt_min=1e-12,
+            record_every=10,
+        )
+        outcome = run(cfg, gaussian_field(grid, 0.5, 1.0))
+        assert outcome.termination == "completed"
+        assert outcome.steps == 100
+        assert len(calls) <= 1
+
+
+def test_radial_nan_initial_field_ends_non_finite(focusing_radial_config):
+    grid = focusing_radial_config.grid
+    values = gaussian_field(grid, 0.5, 1.0).values
+    values[grid.points // 3] = np.nan
+    outcome = run(focusing_radial_config, Field(grid, values))
+    assert outcome.termination == "non_finite"
+    assert outcome.steps == 0

@@ -193,6 +193,27 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert "padding" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("output", "dump_fields", "false"),
+            ("output", "dump_fields", 0),
+            ("time", "record_every", 2.7),
+            ("time", "record_every", 3.0),
+            ("time", "record_every", 0),
+            ("time", "record_every", True),
+        ],
+    )
+    def test_no_silent_coercion(self, tmp_path, capsys, section, key, value):
+        raw = base_config(tmp_path)
+        raw[section][key] = value
+        path = write_config(tmp_path, raw)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and f"{section}.{key}" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_rerun_never_overwrites(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
         assert cli.main(["simulate", str(path)]) == EXIT_OK
