@@ -118,6 +118,20 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A finite JSON number, or a string float() reads as one; null, booleans,
+    other types, NaN and infinities are refused."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}") from None
+    return number
+
+
 class RunConfig:
     """Parsed, validated run configuration with a canonical echo form."""
 
@@ -146,7 +160,7 @@ class RunConfig:
             sigma = CRITICAL
         else:
             sigma = parse_rational(sigma)
-        lam = float(par["lambda"])
+        lam = _number(par["lambda"], "params.lambda")
         sign = "focusing" if lam < 0 else "defocusing"
         try:
             self.params = CriticalityParams(n=n, s=s, b=b, sigma=sigma, lambda_sign=sign)
@@ -157,15 +171,18 @@ class RunConfig:
         gr = dict(raw["grid"])
         _check_keys("grid", gr)
         kind = gr.get("kind")
-        points = gr.get("points")
         if kind == "tensor":
             if "extent" not in gr:
                 raise ConfigError("tensor grid needs 'extent'")
-            self.grid = GridSpec.tensor(n, float(gr["extent"]), int(points))
+            extent = _number(gr["extent"], "grid.extent")
+            points = _positive_int(gr.get("points"), "grid.points")
+            self.grid = GridSpec.tensor(n, extent, points)
         elif kind == "radial":
             if "r_max" not in gr:
                 raise ConfigError("radial grid needs 'r_max'")
-            self.grid = GridSpec.radial(n, float(gr["r_max"]), int(points))
+            r_max = _number(gr["r_max"], "grid.r_max")
+            points = _positive_int(gr.get("points"), "grid.points")
+            self.grid = GridSpec.radial(n, r_max, points)
         else:
             raise ConfigError("grid.kind must be 'tensor' or 'radial'")
 
@@ -174,24 +191,24 @@ class RunConfig:
         delta = wt.get("delta", "auto")
         if delta == "auto":
             delta = self.grid.spacing if self.grid.kind == "tensor" else 0.0
-        self.weight = PotentialWeight(b=float(b), delta=float(delta))
+        self.weight = PotentialWeight(b=float(b), delta=_number(delta, "weight.delta"))
 
         tm = dict(raw["time"])
         _check_keys("time", tm)
         for key in ("dt_init", "t_end"):
             if key not in tm:
                 raise ConfigError(f"time.{key} is required")
-        dt_init = float(tm["dt_init"])
+        dt_init = _number(tm["dt_init"], "time.dt_init")
         self.sim = dynamics.SimConfig(
             params=self.params,
             grid=self.grid,
             weight=self.weight,
             lam=lam,
             dt_init=dt_init,
-            t_end=float(tm["t_end"]),
-            dt_min=float(tm.get("dt_min", dt_init * 1e-8)),
-            blowup_ratio=float(tm.get("blowup_ratio", 1e3)),
-            safety=float(tm.get("safety", 0.5)),
+            t_end=_number(tm["t_end"], "time.t_end"),
+            dt_min=_number(tm.get("dt_min", dt_init * 1e-8), "time.dt_min"),
+            blowup_ratio=_number(tm.get("blowup_ratio", 1e3), "time.blowup_ratio"),
+            safety=_number(tm.get("safety", 0.5), "time.safety"),
             record_every=_positive_int(tm.get("record_every", 1), "time.record_every"),
         )
 
@@ -200,6 +217,9 @@ class RunConfig:
         itype = init.get("type")
         if itype not in ("gaussian", "ground_state_scaled", "file"):
             raise ConfigError("initial.type must be gaussian, ground_state_scaled, or file")
+        for key in ("amplitude", "width", "scale_c", "epsilon"):
+            if key in init:
+                init[key] = _number(init[key], f"initial.{key}")
         self.initial = init
 
         out = dict(raw.get("output", {}))
@@ -220,7 +240,7 @@ class RunConfig:
         initial = {"type": self.initial["type"]}
         for key in ("amplitude", "width", "scale_c", "epsilon"):
             if key in self.initial:
-                initial[key] = float(self.initial[key])
+                initial[key] = self.initial[key]
         if "path" in self.initial:
             initial["path"] = str(self.initial["path"])
         return {
@@ -250,17 +270,17 @@ class RunConfig:
         if itype == "gaussian":
             return grids.gaussian_field(
                 self.grid,
-                amplitude=float(self.initial.get("amplitude", 1.0)),
-                width=float(self.initial.get("width", 1.0)),
+                amplitude=self.initial.get("amplitude", 1.0),
+                width=self.initial.get("width", 1.0),
             )
         if itype == "ground_state_scaled":
             profile = ground_state.GroundStateProfile(
                 n=self.params.n,
                 b=float(self.params.b),
-                epsilon=float(self.initial.get("epsilon", 1.0)),
+                epsilon=self.initial.get("epsilon", 1.0),
             )
             return ground_state.sample_on_grid(
-                profile, self.grid, scale=float(self.initial.get("scale_c", 1.0))
+                profile, self.grid, scale=self.initial.get("scale_c", 1.0)
             )
         field, _ = grids.load_field(self.initial["path"])
         if field.grid != self.grid:
@@ -471,12 +491,12 @@ def cmd_simulate(args) -> int:
         profile = ground_state.GroundStateProfile(
             n=config.params.n,
             b=float(config.params.b),
-            epsilon=float(config.initial.get("epsilon", 1.0)),
+            epsilon=config.initial.get("epsilon", 1.0),
         )
         gs = ground_state.compute_quantities(profile)
         symmetry = "radial" if config.grid.kind == "radial" else "finite_variance"
         if config.initial["type"] == "ground_state_scaled":
-            data = diagnostics.ScaledGroundState(float(config.initial.get("scale_c", 1.0)))
+            data = diagnostics.ScaledGroundState(config.initial.get("scale_c", 1.0))
         else:
             data = u0
         threshold = diagnostics.classify_blowup(data, config.sim, gs, symmetry)

@@ -2,10 +2,12 @@
 
 Tensor grids: Strang splitting with an exact spectral free propagator and
 pointwise nonlinear phases (both substeps preserve the discrete mass to
-roundoff).  Radial grids: linearly implicit Crank-Nicolson with a relaxed
-nonlinear density (two-level update of phi ~ w |u|^sigma), which keeps the
-one-step map a Cayley transform of a self-adjoint operator and therefore
-conserves the discrete mass exactly up to the tridiagonal solve.
+roundoff); ``run`` hands each step's trailing half-phase and density to the
+next step (``HalfPhase``).  Radial grids: linearly implicit Crank-Nicolson
+with a relaxed nonlinear density (two-level update of phi ~ w |u|^sigma),
+which keeps the one-step map a Cayley transform of a self-adjoint operator
+and therefore conserves the discrete mass exactly up to the tridiagonal
+solve.
 
 Step size is adapted so the nonlinear phase rotation per step stays below
 ``safety`` radians; blow-up is detected (never proven) from the growth of
@@ -60,6 +62,9 @@ class SimConfig:
     dealias: bool = False
 
     def __post_init__(self):
+        for name in ("lam", "dt_init", "t_end", "dt_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
         if not self.dt_min < self.dt_init:
@@ -118,29 +123,78 @@ def _kinetic_propagator(grid: GridSpec, dt: float, dealias: bool) -> np.ndarray:
     return prop
 
 
-def nonlinear_density(u: Field, cfg: SimConfig) -> np.ndarray:
-    """w |u|^sigma: the rate of the nonlinear phase.  ``run`` computes it
-    once per step and hands it to ``adapt_dt`` and the stepper."""
-    return weight_values(u.grid, cfg.weight) * np.abs(u.values) ** cfg.sigma
+def nonlinear_density(
+    u: Field, cfg: SimConfig, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """w |u|^sigma: the rate of the nonlinear phase, computed once per step
+    and shared by ``adapt_dt`` and the stepper.  With ``out`` the result is
+    written into that real array of the grid's shape."""
+    if out is None:
+        return weight_values(u.grid, cfg.weight) * np.abs(u.values) ** cfg.sigma
+    np.abs(u.values, out=out)
+    out **= cfg.sigma
+    out *= weight_values(u.grid, cfg.weight)
+    return out
+
+
+def _half_phase(density: np.ndarray, cfg: SimConfig, dt: float) -> np.ndarray:
+    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step."""
+    return _unit_phase(-0.5 * dt * cfg.lam * density)
+
+
+@dataclass
+class HalfPhase:
+    """The trailing state of a Strang step, handed to the next step as the
+    radial stepper hands on ``phi``.
+
+    The half-phase factor has modulus one and leaves |u| unchanged, so the
+    ``density`` behind a step's trailing half-phase is also the density of
+    the next step's input, and while dt stays the same the next step's
+    leading factor equals the trailing ``factor`` (first same as last).
+    ``density`` is None when lam = 0.  The step that receives a HalfPhase
+    consumes it: the factor's buffer becomes the FFT work array and the
+    density buffer is refilled in place.
+    """
+
+    density: Optional[np.ndarray]
+    factor: Optional[np.ndarray] = None
+    dt: Optional[float] = None
 
 
 def strang_step(
-    u: Field, cfg: SimConfig, dt: float, density: Optional[np.ndarray] = None
-) -> Field:
+    u: Field,
+    cfg: SimConfig,
+    dt: float,
+    density: Optional[np.ndarray] = None,
+    carry: Optional[HalfPhase] = None,
+):
     """One Strang step on a tensor grid: half nonlinear phase, exact spectral
     free flight, half nonlinear phase.  ``density`` is
-    ``nonlinear_density(u, cfg)`` when the caller already has it."""
+    ``nonlinear_density(u, cfg)`` when the caller already has it.
+
+    Returns the stepped Field.  With ``carry``, a HalfPhase whose density is
+    that of ``u`` (as the previous step returned it), the step reads the
+    density from it, reuses its factor when it was built for this dt, and
+    returns ``(field, carry)`` with ``carry`` refilled for the new field.
+    """
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
     grid = u.grid
-    half_angle = -0.5 * dt * cfg.lam
     v = u.values
     if cfg.lam != 0.0:
-        if density is None:
+        factor = None
+        if carry is not None:
+            density = carry.density
+            if carry.dt == dt:
+                factor = carry.factor
+            carry.factor = None  # a stale factor is freed before the rebuild
+        elif density is None:
             density = nonlinear_density(u, cfg)
-        v = _unit_phase(half_angle * density)
-        v *= u.values
-        del density  # not needed past here; the FFTs below run in place
+        if factor is None:
+            factor = _half_phase(density, cfg, dt)
+        factor *= u.values
+        v = factor
+        del factor, density  # not needed past here; the FFTs below run in place
     vhat = scipy.fft.fftn(v, workers=thread_count(), overwrite_x=v is not u.values)
     vhat *= _kinetic_propagator(grid, dt, cfg.dealias)
     out = Field(
@@ -149,8 +203,12 @@ def strang_step(
         time_tag=u.time_tag + dt,
     )
     if cfg.lam != 0.0:
-        out.values *= _unit_phase(half_angle * nonlinear_density(out, cfg))
-    return out
+        buffer = None if carry is None else carry.density
+        factor = _half_phase(nonlinear_density(out, cfg, buffer), cfg, dt)
+        out.values *= factor
+        if carry is not None:
+            carry.factor, carry.dt = factor, dt
+    return out if carry is None else (out, carry)
 
 
 def radial_cn_step(
@@ -241,11 +299,17 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     pinned = 0
     dt_prev = cfg.dt_init
     phi = None
+    carry = None
+    if cfg.grid.kind == "tensor":
+        carry = HalfPhase(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
     termination = "completed"
     t_stop = cfg.t_end * (1.0 - 1e-12)
 
     while t < t_stop:
-        density = nonlinear_density(u, cfg) if cfg.lam != 0.0 else None
+        if carry is not None:
+            density = carry.density
+        else:
+            density = nonlinear_density(u, cfg) if cfg.lam != 0.0 else None
         dt = adapt_dt(u, cfg, dt_prev, density)
         if dt <= cfg.dt_min:
             pinned += 1
@@ -256,8 +320,8 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
             pinned = 0
         dt_step = min(dt, cfg.t_end - t)
         try:
-            if cfg.grid.kind == "tensor":
-                u = strang_step(u, cfg, dt_step, density)
+            if carry is not None:
+                u, carry = strang_step(u, cfg, dt_step, carry=carry)
             else:
                 u, phi = radial_cn_step(u, cfg, dt_step, phi, density)
         except FloatingPointError:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +9,16 @@ import pytest
 import scipy.fft
 import scipy.linalg
 
-from inls import exponents
-from inls.dynamics import SimConfig, adapt_dt, radial_cn_step, run, strang_step
+from inls import dynamics, exponents
+from inls.dynamics import (
+    HalfPhase,
+    SimConfig,
+    adapt_dt,
+    nonlinear_density,
+    radial_cn_step,
+    run,
+    strang_step,
+)
 from inls.exponents import CRITICAL, CriticalityParams
 from inls.grids import (
     Field,
@@ -235,6 +244,12 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             replace(free_2d_config, blowup_ratio=1.0)
 
+    @pytest.mark.parametrize("name", ["lam", "dt_init", "t_end", "dt_min"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_run_numbers_finite(self, free_2d_config, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(free_2d_config, **{name: value})
+
 
 # -- oracles: the steppers as first written, before per-run constants were
 # cached and the phases built from real angles ------------------------------
@@ -374,3 +389,98 @@ def test_radial_nan_initial_field_ends_non_finite(focusing_radial_config):
     outcome = run(focusing_radial_config, Field(grid, values))
     assert outcome.termination == "non_finite"
     assert outcome.steps == 0
+
+
+# -- the tensor run hands each step's trailing half-phase to the next step --
+
+def _spy(monkeypatch, name):
+    """Route calls of ``dynamics.<name>`` through a recorder of their
+    positional arguments."""
+    calls = []
+    original = getattr(dynamics, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, recording)
+    return calls
+
+
+def _reference_run(cfg, u0, dts):
+    v = u0.values.copy()
+    for dt in dts:
+        v = _reference_strang_step(v, cfg, dt)
+    return v
+
+
+class TestCarriedHalfPhase:
+    def test_first_step_bitwise_equal_to_direct_call(self):
+        cfg = _focusing_3d_config()
+        u = gaussian_field(cfg.grid, 1.0, 1.0)
+        carried, carry = strang_step(u, cfg, 1e-3, carry=HalfPhase(nonlinear_density(u, cfg)))
+        assert np.array_equal(carried.values, strang_step(u, cfg, 1e-3).values)
+        assert carry.dt == 1e-3
+        # first same as last: the carried factor is the next leading factor
+        fresh = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(carried, cfg))
+        assert np.max(np.abs(carry.factor - fresh)) <= 1e-14
+
+    def test_run_matches_reference_3d_shortened_final_step(self, monkeypatch):
+        cfg = replace(_focusing_3d_config(), t_end=0.0205)
+        u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+        steps = _spy(monkeypatch, "strang_step")
+        outcome = run(cfg, u0)
+        dts = [args[2] for args in steps]
+        assert outcome.termination == "completed"
+        assert len(set(dts[:-1])) == 1 and dts[-1] == pytest.approx(5e-4)
+        v = _reference_run(cfg, u0, dts)
+        assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
+
+    def test_run_matches_reference_2d_adaptive_dt(self, defocusing_2d_config, monkeypatch):
+        cfg = replace(defocusing_2d_config, t_end=0.05)
+        u0 = gaussian_field(cfg.grid, 20.0, 0.5)
+        steps = _spy(monkeypatch, "strang_step")
+        outcome = run(cfg, u0)
+        dts = [args[2] for args in steps]
+        assert outcome.termination == "completed"
+        changes = sum(a != b for a, b in zip(dts, dts[1:]))
+        assert 3 <= changes < len(dts) - 3  # factors both rebuilt and reused
+        v = _reference_run(cfg, u0, dts)
+        assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
+
+    def test_one_density_and_one_factor_per_step(self, monkeypatch):
+        densities = _spy(monkeypatch, "nonlinear_density")
+        factors = _spy(monkeypatch, "_half_phase")
+        dt = 2.0**-10  # exact in binary, so t reaches t_end without a short step
+        cfg = replace(_focusing_3d_config(), dt_init=dt, t_end=100 * dt, record_every=10)
+        steps = _spy(monkeypatch, "strang_step")
+        outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+        dts = [args[2] for args in steps]
+        assert outcome.termination == "completed"
+        assert outcome.steps == 100 and set(dts) == {dt}
+        assert (len(densities), len(factors)) == (101, 101)
+
+    def test_carried_factor_adds_no_peak_memory(self, monkeypatch):
+        cfg = replace(_focusing_3d_config(), t_end=0.0205, record_every=5)
+        u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+        run(cfg, u0)  # fill the per-grid caches outside the measurement
+
+        def peak():
+            tracemalloc.start()
+            try:
+                run(cfg, u0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_carry = peak()
+        original = dynamics.strang_step
+
+        def dropping_factor(u, cfg, dt, carry):
+            out, carry = original(u, cfg, dt, carry=carry)
+            carry.factor = None  # every step rebuilds its leading factor
+            return out, carry
+
+        monkeypatch.setattr(dynamics, "strang_step", dropping_factor)
+        without = peak()
+        assert with_carry <= without + 4096  # bytes: bookkeeping, not a buffer

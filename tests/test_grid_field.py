@@ -16,13 +16,16 @@ from inls.grids import (
     load_field,
     mass,
     mesh,
+    radial_face_coefficients,
     radial_node_weights,
     radial_nodes,
     variance,
     weight_values,
     weighted_potential_integral,
     weighted_quadratic,
+    wavenumber_sq_values,
 )
+from inls.ground_state import sphere_area
 
 
 def normalized_gaussian(grid):
@@ -136,6 +139,41 @@ class TestSobolevNorm:
         assert mass(rotated) == pytest.approx(mass(u), rel=1e-15)
         assert hs_norm(rotated, 1) == pytest.approx(hs_norm(u, 1), rel=1e-14)
         assert variance(rotated) == pytest.approx(variance(u), rel=1e-15)
+
+
+def _hs_norm_formula(u, s):
+    """The seminorm as first written, with full-size temporaries."""
+    grid = u.grid
+    if grid.kind == "tensor":
+        uhat = np.fft.fftn(u.values)
+        density = wavenumber_sq_values(grid) ** s * np.abs(uhat) ** 2
+        return math.sqrt(float(np.sum(density) * grid.cell_measure / u.values.size))
+    v = u.values
+    diff = np.empty_like(v)
+    diff[:-1] = v[1:] - v[:-1]
+    diff[-1] = -v[-1]
+    f = radial_face_coefficients(grid)
+    return math.sqrt(float(sphere_area(grid.n) * np.sum(f * np.abs(diff) ** 2) / grid.spacing))
+
+
+class TestSobolevNormInPlace:
+    @pytest.mark.parametrize(
+        "grid, s",
+        [
+            pytest.param(GridSpec.tensor(n, 12.0, points), s, id=f"tensor{n}d-s{s}")
+            for n, points in ((2, 64), (3, 32))
+            for s in (0.5, 1, 2)
+        ]
+        + [pytest.param(GridSpec.radial(3, 16.0, 512), 1, id="radial-s1")],
+    )
+    def test_matches_formula_and_leaves_field(self, grid, s):
+        rng = np.random.default_rng(7)
+        u = gaussian_field(grid, 1.3, 1.0)
+        u = Field(grid, u.values * np.exp(0.4j * rng.standard_normal(grid.shape)))
+        before = u.values.copy()
+        expected = _hs_norm_formula(u, s)
+        assert hs_norm(u, s) == pytest.approx(expected, rel=1e-13)
+        assert np.array_equal(u.values, before)
 
 
 class TestWeightedIntegrals:

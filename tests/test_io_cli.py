@@ -214,6 +214,44 @@ class TestSimulateCommand:
         assert err.startswith("config error:") and f"{section}.{key}" in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("time", "t_end", "inf"),  # never terminated
+            ("time", "t_end", "nan"),  # reported completion at t = 0
+            ("time", "dt_init", "nan"),
+            ("time", "dt_min", "-inf"),
+            ("params", "lambda", "nan"),  # made a run directory, then non_finite
+            ("params", "lambda", None),
+            ("grid", "points", 64.7),
+            ("grid", "points", None),
+            ("grid", "extent", None),
+            ("grid", "extent", "wide"),
+            ("grid", "extent", "inf"),
+            ("initial", "amplitude", None),  # traceback from the canonical echo
+        ],
+    )
+    def test_bad_run_numbers_exit_one(self, tmp_path, capsys, section, key, value):
+        raw = base_config(tmp_path)
+        raw[section][key] = value
+        path = write_config(tmp_path, raw)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and f"{section}.{key}" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_points_exits_one(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        raw["grid"] = {"kind": "radial", "r_max": 16.0}
+        raw["params"]["n"] = 3
+        path = write_config(tmp_path, raw)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "grid.points" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_rerun_never_overwrites(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
         assert cli.main(["simulate", str(path)]) == EXIT_OK
