@@ -225,8 +225,33 @@ def _integrate(grid: GridSpec, density: np.ndarray) -> float:
 
 
 def mass(u: Field) -> float:
-    """Squared L2 norm by the grid quadrature."""
-    return _integrate(u.grid, np.abs(u.values) ** 2)
+    """Squared L2 norm by the grid quadrature, summed as re^2 + im^2 (no
+    hypot); tensor grids contract the (re, im) pairs with themselves and
+    allocate no full-size temporary."""
+    grid = u.grid
+    if grid.kind == "tensor":
+        pairs = np.ascontiguousarray(u.values).view(np.float64).ravel()
+        return float(np.einsum("i,i->", pairs, pairs) * grid.cell_measure)
+    v = u.values
+    return float(np.dot(radial_node_weights(grid), v.real**2 + v.imag**2))
+
+
+@lru_cache(maxsize=64)
+def laplacian_norm_bound(grid: GridSpec) -> float:
+    """rho_h such that hs_norm(u, 1)**2 <= rho_h * mass(u) for every field u
+    on the grid.
+
+    Tensor grids: the largest |xi|^2, exact by Parseval (the Nyquist mode
+    attains it).  Radial grids: the largest absolute row sum of the
+    Laplacian's bands (Gershgorin).  hs_norm(u, 1)**2 is <u, -Lap_h u> in
+    the node-weight inner product, in which -Lap_h is self-adjoint, so its
+    Rayleigh quotient stays below the spectral radius, which no row sum
+    bound undercuts.
+    """
+    if grid.kind == "tensor":
+        return float(wavenumber_sq_values(grid).max())
+    lower, diag, upper = radial_laplacian_bands(grid)
+    return float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
 
 
 def hs_norm(u: Field, s: float) -> float:

@@ -26,6 +26,7 @@ from inls.grids import (
     PotentialWeight,
     gaussian_field,
     hs_norm,
+    laplacian_norm_bound,
     mass,
     mesh,
     radial_laplacian_bands,
@@ -484,3 +485,136 @@ class TestCarriedHalfPhase:
         monkeypatch.setattr(dynamics, "strang_step", dropping_factor)
         without = peak()
         assert with_carry <= without + 4096  # bytes: bookkeeping, not a buffer
+
+
+# -- the blow-up check is skipped where the grid bound proves it cannot fire --
+
+def _every_step_check_run(cfg, u0):
+    """``run`` with the exact blow-up check on every step: the reference
+    for the skip.  It shares the stepping, records and final-step rule."""
+    from inls.diagnostics import make_record
+
+    u = Field(grid=u0.grid, values=u0.values.copy(), time_tag=0.0)
+    h1_0 = hs_norm(u, 1)
+    records = [make_record(u, cfg, dt=cfg.dt_init)]
+    t, steps, pinned, dt_prev, phi, carry = 0.0, 0, 0, cfg.dt_init, None, None
+    if cfg.grid.kind == "tensor":
+        carry = HalfPhase(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
+    termination = "completed"
+    while t < cfg.t_end * (1.0 - 1e-12):
+        if carry is not None:
+            density = carry.density
+        else:
+            density = nonlinear_density(u, cfg) if cfg.lam != 0.0 else None
+        dt = adapt_dt(u, cfg, dt_prev, density)
+        if dt <= cfg.dt_min:
+            pinned += 1
+            if pinned >= 10:
+                termination = "dt_underflow"
+                break
+        else:
+            pinned = 0
+        final = abs(cfg.t_end - t - dt) <= 1e-9 * dt
+        dt_step = dt if final else min(dt, cfg.t_end - t)
+        if carry is not None:
+            u, carry = strang_step(u, cfg, dt_step, carry=carry)
+        else:
+            u, phi = radial_cn_step(u, cfg, dt_step, phi, density)
+        if not np.all(np.isfinite(u.values)):
+            termination = "non_finite"
+            break
+        t = cfg.t_end if final else t + dt_step
+        u.time_tag = t
+        steps += 1
+        dt_prev = dt
+        h1 = hs_norm(u, 1)
+        recorded = steps % cfg.record_every == 0
+        if recorded:
+            records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
+        if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
+            termination = "blowup_detected"
+            if not recorded:
+                records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
+            break
+    if termination == "completed" and records[-1].t < t:
+        records.append(make_record(u, cfg, dt=dt_prev))
+    return dynamics.RunOutcome(termination, t, records, u, steps)
+
+
+def _blowup_radial_config(**changes):
+    grid = GridSpec.radial(3, 16.0, 256)
+    params = CriticalityParams(
+        n=3, s=Fraction(1), b=Fraction(1, 2), sigma=CRITICAL, lambda_sign="focusing"
+    )
+    cfg = SimConfig(
+        params=params,
+        grid=grid,
+        weight=PotentialWeight(b=0.5, delta=0.0),
+        lam=-1.0,
+        dt_init=2e-3,
+        t_end=1.0,
+        dt_min=1e-15,
+        blowup_ratio=5.0,
+        record_every=100,
+    )
+    return replace(cfg, **changes)
+
+
+def _detection_ceiling(cfg, u0):
+    """The blow-up ratio above which ``run`` skips the check on every step
+    that writes no record: sqrt(2 rho_h M) / h1_0."""
+    return math.sqrt(2.0 * laplacian_norm_bound(cfg.grid) * mass(u0)) / hs_norm(u0, 1)
+
+
+class TestSkippedBlowupCheck:
+    def _assert_same_run(self, cfg, u0, monkeypatch):
+        expected = _every_step_check_run(cfg, u0)
+        calls = _spy(monkeypatch, "hs_norm")
+        outcome = run(cfg, u0)
+        assert outcome.termination == expected.termination
+        assert (outcome.steps, outcome.t_final) == (expected.steps, expected.t_final)
+        assert np.array_equal(outcome.final_field.values, expected.final_field.values)
+        assert outcome.series == expected.series
+        return outcome, len(calls)
+
+    def test_3d_focusing_run_skips_the_check(self, monkeypatch):
+        cfg = replace(_focusing_3d_config(), record_every=10)
+        u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+        assert cfg.blowup_ratio > 10 * _detection_ceiling(cfg, u0)
+        outcome, calls = self._assert_same_run(cfg, u0, monkeypatch)
+        assert outcome.termination == "completed" and outcome.steps == 100
+        assert calls <= len(outcome.series) + 1
+
+    def test_detection_lands_on_the_same_step(self, monkeypatch):
+        cfg = _blowup_radial_config()
+        u0 = gaussian_field(cfg.grid, 3.0, 1.0 / math.sqrt(2.0))
+        assert cfg.blowup_ratio < _detection_ceiling(cfg, u0)
+        outcome, calls = self._assert_same_run(cfg, u0, monkeypatch)
+        assert outcome.termination == "blowup_detected"
+        assert calls == outcome.steps + 1  # the bound never held
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6], ids=["above", "below"])
+    def test_ratio_at_the_ceiling(self, side, monkeypatch):
+        cfg = _blowup_radial_config(t_end=0.2, record_every=7)
+        u0 = gaussian_field(cfg.grid, 1.5, 1.0)
+        cfg = replace(cfg, blowup_ratio=side * _detection_ceiling(cfg, u0))
+        outcome, calls = self._assert_same_run(cfg, u0, monkeypatch)
+        assert outcome.termination == "completed"
+        if side > 1.0:
+            assert calls == 1 + outcome.steps // cfg.record_every
+        else:
+            assert calls == 1 + outcome.steps
+
+
+def test_constant_dt_run_builds_one_propagator(monkeypatch):
+    # 0.1 / 1e-3 steps: float accumulation of t leaves the last step a few
+    # ulps short of dt, which is taken whole
+    cfg = replace(_focusing_3d_config(), record_every=10)
+    densities = _spy(monkeypatch, "nonlinear_density")
+    factors = _spy(monkeypatch, "_half_phase")
+    dynamics._kinetic_propagator.cache_clear()
+    outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+    assert outcome.termination == "completed" and outcome.steps == 100
+    assert outcome.t_final == cfg.t_end == outcome.final_field.time_tag
+    assert dynamics._kinetic_propagator.cache_info().misses == 1
+    assert (len(densities), len(factors)) == (101, 101)

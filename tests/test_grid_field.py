@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from inls.grids import (
@@ -13,10 +15,12 @@ from inls.grids import (
     gaussian_field,
     hs_norm,
     laplacian_apply,
+    laplacian_norm_bound,
     load_field,
     mass,
     mesh,
     radial_face_coefficients,
+    radial_laplacian_bands,
     radial_node_weights,
     radial_nodes,
     variance,
@@ -174,6 +178,83 @@ class TestSobolevNormInPlace:
         expected = _hs_norm_formula(u, s)
         assert hs_norm(u, s) == pytest.approx(expected, rel=1e-13)
         assert np.array_equal(u.values, before)
+
+
+class TestMassSumOfSquares:
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec.tensor(3, 16.0, 64), GridSpec.tensor(2, 12.0, 64), GridSpec.radial(3, 32.0, 2048)],
+        ids=["tensor3d", "tensor2d", "radial"],
+    )
+    def test_matches_hypot_formula(self, grid):
+        rng = np.random.default_rng(11)
+        u = gaussian_field(grid, 1.7, 1.5)
+        u = Field(grid, u.values * np.exp(3j * rng.standard_normal(grid.shape)))
+        density = np.abs(u.values) ** 2
+        if grid.kind == "tensor":
+            expected = float(np.sum(density) * grid.cell_measure)
+        else:
+            expected = float(np.sum(density * radial_node_weights(grid)))
+        assert mass(u) == pytest.approx(expected, rel=1e-14)
+
+    def test_non_contiguous_values(self):
+        grid = GridSpec.tensor(2, 12.0, 16)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+        u = Field(grid, values[:, ::2])
+        assert mass(u) == pytest.approx(mass(Field(grid, u.values.copy())), rel=1e-15)
+
+
+# -- hs_norm(u, 1)**2 <= laplacian_norm_bound(grid) * mass(u) ---------------
+
+_BOUND_GRIDS = [GridSpec.tensor(n, 10.0, 16) for n in (1, 2, 3)] + [
+    GridSpec.radial(n, 10.0, 64) for n in (3, 4, 5)
+]
+
+
+class TestLaplacianNormBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(_BOUND_GRIDS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=4.0),
+    )
+    def test_bounds_h1_by_mass(self, grid, seed, damping):
+        # damping 0 is white noise, rich in high modes; larger damping tilts
+        # the field towards low modes (tensor) or the origin (radial)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        if grid.kind == "tensor":
+            values = np.fft.ifftn(np.fft.fftn(values) * np.exp(-damping * wavenumber_sq_values(grid)))
+        else:
+            values *= np.exp(-damping * radial_nodes(grid))
+        u = Field(grid, values)
+        assert hs_norm(u, 1) ** 2 <= laplacian_norm_bound(grid) * mass(u) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tensor_nyquist_mode_attains_bound(self, n):
+        grid = GridSpec.tensor(n, 10.0, 16)
+        nyquist = np.ones(grid.shape, dtype=complex)
+        for axis in np.indices(grid.shape):
+            nyquist *= (-1.0) ** axis
+        u = Field(grid, nyquist)
+        ratio = hs_norm(u, 1) ** 2 / mass(u)
+        assert ratio == pytest.approx(laplacian_norm_bound(grid), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_radial_bound_within_twice_top_eigenvalue(self, n):
+        grid = GridSpec.radial(n, 10.0, 64)
+        lower, diag, upper = radial_laplacian_bands(grid)
+        v = np.random.default_rng(n).standard_normal(grid.points)
+        top = 0.0
+        for _ in range(5000):  # power iteration on -Lap_h
+            w = -diag * v
+            w[:-1] -= upper[:-1] * v[1:]
+            w[1:] -= lower[1:] * v[:-1]
+            top = float(np.dot(v, w) / np.dot(v, v))
+            v = w / np.linalg.norm(w)
+        bound = laplacian_norm_bound(grid)
+        assert top <= bound <= 2.0 * top
 
 
 class TestWeightedIntegrals:
