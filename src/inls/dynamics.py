@@ -7,7 +7,8 @@ next step (``HalfPhase``).  Radial grids: linearly implicit Crank-Nicolson
 with a relaxed nonlinear density (two-level update of phi ~ w |u|^sigma),
 which keeps the one-step map a Cayley transform of a self-adjoint operator
 and therefore conserves the discrete mass exactly up to the tridiagonal
-solve.
+solve.  The step is taken in its Cayley form u_next = (4i/dt) B^-1 u - u with
+B = Lap_h - lam phi + (2i/dt) I: one tridiagonal solve, no matrix product.
 
 Step size is adapted so the nonlinear phase rotation per step stays below
 ``safety`` radians; blow-up is detected (never proven) from the growth of
@@ -33,6 +34,7 @@ from .grids import (
     Field,
     GridSpec,
     PotentialWeight,
+    abs_power,
     hs_norm,
     laplacian_norm_bound,
     mass,
@@ -129,22 +131,27 @@ def _kinetic_propagator(grid: GridSpec, dt: float, dealias: bool) -> np.ndarray:
 
 
 def nonlinear_density(
-    u: Field, cfg: SimConfig, out: Optional[np.ndarray] = None
+    u: Field,
+    cfg: SimConfig,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """w |u|^sigma: the rate of the nonlinear phase, computed once per step
     and shared by ``adapt_dt`` and the stepper.  With ``out`` the result is
-    written into that real array of the grid's shape."""
-    if out is None:
-        return weight_values(u.grid, cfg.weight) * np.abs(u.values) ** cfg.sigma
-    np.abs(u.values, out=out)
-    out **= cfg.sigma
+    written into that real array of the grid's shape; ``scratch``, another
+    such array, holds |u| while an integer sigma's power is multiplied out.
+    Every way of calling it rounds identically (``grids.abs_power``)."""
+    out = abs_power(u.values, cfg.sigma, out, scratch)
     out *= weight_values(u.grid, cfg.weight)
     return out
 
 
-def _half_phase(density: np.ndarray, cfg: SimConfig, dt: float) -> np.ndarray:
-    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step."""
-    return _unit_phase(-0.5 * dt * cfg.lam * density)
+def _half_phase(
+    density: np.ndarray, cfg: SimConfig, dt: float, angle: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step.
+    ``angle``, a real array of the grid's shape, receives the phase angle."""
+    return _unit_phase(np.multiply(density, -0.5 * dt * cfg.lam, out=angle))
 
 
 @dataclass
@@ -209,11 +216,27 @@ def strang_step(
     )
     if cfg.lam != 0.0:
         buffer = None if carry is None else carry.density
-        factor = _half_phase(nonlinear_density(out, cfg, buffer), cfg, dt)
+        angle = np.empty(grid.shape)  # first |u| for |u|^sigma, then the angle
+        density = nonlinear_density(out, cfg, buffer, scratch=angle)
+        factor = _half_phase(density, cfg, dt, angle)
         out.values *= factor
         if carry is not None:
             carry.factor, carry.dt = factor, dt
     return out if carry is None else (out, carry)
+
+
+@lru_cache(maxsize=64)
+def _radial_band_table(grid: GridSpec) -> np.ndarray:
+    """The radial Laplacian's bands in ``solve_banded`` layout (rows: upper,
+    diagonal, lower), complex, read-only; a step copies it and rewrites only
+    the diagonal."""
+    lower, diag, upper = radial_laplacian_bands(grid)
+    table = np.zeros((3, grid.points), dtype=np.complex128)
+    table[0, 1:] = upper[:-1]
+    table[1] = diag
+    table[2, :-1] = lower[1:]
+    table.flags.writeable = False
+    return table
 
 
 def radial_cn_step(
@@ -226,11 +249,15 @@ def radial_cn_step(
     """One relaxed Crank-Nicolson step on a radial grid.
 
     The nonlinear density phi ~ w |u|^sigma is advanced by the two-level
-    relaxation update phi_next = 2 w |u|^sigma - phi, then the linear system
-    (1 - i dt/2 (Lap - lam phi_next)) u_next = (1 + i dt/2 (Lap - lam phi_next)) u
-    is solved by a tridiagonal solve.  ``phi`` is the previous half-step
-    density; a cold start uses w |u|^sigma.  ``density`` is
-    ``nonlinear_density(u, cfg)`` when the caller already has it.
+    relaxation update phi_next = 2 w |u|^sigma - phi.  With
+    M = Lap - lam phi_next, the step (1 - i dt/2 M) u_next = (1 + i dt/2 M) u
+    is taken in its Cayley form u_next = (4i/dt) B^-1 u - u, where
+    B = M + (2i/dt) I: since (1 + i dt/2 M) u = 2u - (1 - i dt/2 M) u, one
+    tridiagonal solve with u itself as right-hand side and no matrix product.
+    B's off-diagonals are the real Laplacian bands, independent of dt and
+    phi.  ``phi`` is the previous half-step density; a cold start uses
+    w |u|^sigma.  ``density`` is ``nonlinear_density(u, cfg)`` when the
+    caller already has it.  ``u`` is left unmodified.
 
     Returns ``(field, phi_next)``; thread phi_next into the following call.
     """
@@ -243,28 +270,19 @@ def radial_cn_step(
         phi = density
     phi_next = 2.0 * density - phi
 
-    lower, diag, upper = radial_laplacian_bands(grid)
-    m_diag = diag - cfg.lam * phi_next
-    half = 0.5j * dt
-    v = u.values
-    # rhs = (1 + i dt/2 M) u with M = Lap - lam*phi
-    rhs = v + half * (m_diag * v)
-    rhs[:-1] += half * upper[:-1] * v[1:]
-    rhs[1:] += half * lower[1:] * v[:-1]
-    # banded matrix for (1 - i dt/2 M); the corners ab[0, 0], ab[2, -1]
-    # are padding the solver never reads
-    ab = np.empty((3, grid.points), dtype=np.complex128)
-    np.multiply(-half, upper[:-1], out=ab[0, 1:])
-    np.multiply(half, m_diag, out=ab[1])
-    np.subtract(1.0, ab[1], out=ab[1])
-    np.multiply(-half, lower[1:], out=ab[2, :-1])
+    ab = _radial_band_table(grid).copy()
+    centre = ab[1]
+    np.subtract(centre.real, cfg.lam * phi_next, out=centre.real)
+    centre.imag = 2.0 / dt
     # unchecked: a non-finite field is caught by run's check after the step
     try:
         v_next = scipy.linalg.solve_banded(
-            (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+            (1, 1), ab, u.values, overwrite_ab=True, overwrite_b=False, check_finite=False
         )
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise FloatingPointError(f"tridiagonal solve failed: {exc}") from exc
+    v_next *= 4j / dt
+    v_next -= u.values
     return Field(grid=grid, values=v_next, time_tag=u.time_tag + dt), phi_next
 
 
@@ -290,7 +308,9 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
 
     Early terminations: ``blowup_detected`` when the H1 seminorm grows by
     ``blowup_ratio``; ``dt_underflow`` when the adaptive step pins at dt_min
-    for 10 consecutive steps; ``non_finite`` on NaN/Inf.
+    for 10 consecutive steps; ``non_finite`` on NaN/Inf, read from the live
+    mass of each step and confirmed by an exact scan only when it is not
+    finite.
 
     The blow-up check is exact, and it runs on every step that writes a
     record.  On other steps it is skipped when the grid bound
@@ -346,7 +366,10 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         except FloatingPointError:
             termination = "non_finite"
             break
-        if not np.all(np.isfinite(u.values.view(np.float64))):
+        # a finite sum of squares has only finite terms, so only a NaN or
+        # overflowed mass (a huge finite entry overflows it) needs the scan
+        m = mass(u)
+        if not math.isfinite(m) and not np.all(np.isfinite(u.values.view(np.float64))):
             termination = "non_finite"
             break
         t = cfg.t_end if final else t + dt_step
@@ -354,7 +377,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         steps += 1
         dt_prev = dt
         record = steps % cfg.record_every == 0
-        if not record and (h1_0 == 0.0 or rho * mass(u) < undetectable):
+        if not record and (h1_0 == 0.0 or rho * m < undetectable):
             continue
         h1 = hs_norm(u, 1)
         if record:

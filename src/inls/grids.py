@@ -242,16 +242,21 @@ def laplacian_norm_bound(grid: GridSpec) -> float:
     on the grid.
 
     Tensor grids: the largest |xi|^2, exact by Parseval (the Nyquist mode
-    attains it).  Radial grids: the largest absolute row sum of the
-    Laplacian's bands (Gershgorin).  hs_norm(u, 1)**2 is <u, -Lap_h u> in
-    the node-weight inner product, in which -Lap_h is self-adjoint, so its
-    Rayleigh quotient stays below the spectral radius, which no row sum
-    bound undercuts.
+    attains it).  Radial grids: the largest absolute row sum (Gershgorin) of
+    the symmetrised Laplacian D^1/2 Lap_h D^-1/2, D the node weights, whose
+    off-diagonal entries are sqrt(upper_i lower_{i+1}).  hs_norm(u, 1)**2 is
+    <u, -Lap_h u> in the node-weight inner product, in which -Lap_h is
+    self-adjoint, so its Rayleigh quotient stays below the spectral radius
+    of the symmetrised matrix, which no row sum bound undercuts.
     """
     if grid.kind == "tensor":
         return float(wavenumber_sq_values(grid).max())
     lower, diag, upper = radial_laplacian_bands(grid)
-    return float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
+    coupling = np.sqrt(upper[:-1] * lower[1:])
+    rows = np.abs(diag)
+    rows[:-1] += coupling
+    rows[1:] += coupling
+    return float(rows.max())
 
 
 def hs_norm(u: Field, s: float) -> float:
@@ -297,12 +302,33 @@ def hs_norm(u: Field, s: float) -> float:
     return math.sqrt(float(total))
 
 
+def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray:
+    """|values|^p as a real array, written into ``out`` when given.
+
+    An integer p from 2 to 8 is built by repeated multiplication of |values|
+    (held in ``scratch`` when given, else in a fresh array): two to three
+    times cheaper than the float ``**`` and within a few ulp of it.  Any
+    other p uses ``**``.  With or without ``out``, the result rounds alike.
+    """
+    if out is None:
+        out = np.empty(values.shape)
+    if float(p).is_integer() and 2 <= p <= 8:
+        base = np.abs(values, out=scratch)
+        np.multiply(base, base, out=out)
+        for _ in range(int(p) - 2):
+            out *= base
+        return out
+    np.abs(values, out=out)
+    out **= p
+    return out
+
+
 def weighted_potential_integral(u: Field, weight: PotentialWeight, sigma: float) -> float:
     """Integral of weight(x) |u|^(sigma+2)."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     w = weight_values(u.grid, weight)
-    return _integrate(u.grid, w * np.abs(u.values) ** (sigma + 2.0))
+    return _integrate(u.grid, w * abs_power(u.values, sigma + 2.0))
 
 
 def variance(u: Field) -> float:

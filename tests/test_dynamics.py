@@ -304,7 +304,7 @@ def _focusing_3d_config():
 
 
 class TestMatchesOriginalSteppers:
-    def test_radial_step_bitwise_with_varying_dt(self):
+    def test_radial_step_with_varying_dt(self):
         grid = GridSpec.radial(3, 16.0, 512)
         params = CriticalityParams(
             n=3, s=Fraction(1), b=Fraction(1, 2), sigma=CRITICAL, lambda_sign="focusing"
@@ -318,14 +318,30 @@ class TestMatchesOriginalSteppers:
             t_end=1.0,
             dt_min=1e-12,
         )
-        u = gaussian_field(grid, 1.5, 1.0)
-        v, phi_ref, phi = u.values.copy(), None, None
+        # The Cayley form rounds differently from the matrix-product form, so
+        # each step is compared from the same input: from step ~100 on the
+        # fixed-dt collapse is under-resolved and amplifies any rounding
+        # difference between two whole trajectories by orders of magnitude.
+        v, phi_ref = gaussian_field(grid, 1.5, 1.0).values, None
         for k in range(200):
             dt = 1e-3 * (1.0 + 0.5 * math.sin(0.7 * k))
+            u, phi = radial_cn_step(Field(grid, v), cfg, dt, phi_ref)
             v, phi_ref = _reference_radial_step(v, cfg, dt, phi_ref)
-            u, phi = radial_cn_step(u, cfg, dt, phi)
-            assert np.array_equal(u.values, v), f"diverged at step {k}"
-            assert np.array_equal(phi, phi_ref)
+            assert la.norm(u.values - v) / la.norm(v) <= 1e-12, f"differs at step {k}"
+            assert la.norm(phi - phi_ref) / la.norm(phi_ref) <= 1e-12
+            assert mass(u) == pytest.approx(mass(Field(grid, v)), rel=1e-14, abs=0.0)
+
+    def test_radial_step_leaves_input_unmodified(self, focusing_radial_config):
+        cfg = focusing_radial_config
+        u = gaussian_field(cfg.grid, 1.5, 1.0)
+        before = u.values.copy()
+        density = nonlinear_density(u, cfg)
+        phi = 0.9 * density
+        out, _ = radial_cn_step(u, cfg, 1e-3, phi, density)
+        assert np.array_equal(u.values, before)
+        assert out.values is not u.values
+        out, _ = radial_cn_step(u, cfg, 1e-3)
+        assert np.array_equal(u.values, before)
 
     def test_strang_matches_complex_exp_2d_defocusing(self, defocusing_2d_config):
         cfg = defocusing_2d_config
@@ -349,7 +365,7 @@ class TestMatchesOriginalSteppers:
     def test_shared_density_changes_nothing(self):
         cfg = _focusing_3d_config()
         u = gaussian_field(cfg.grid, 1.0, 1.0)
-        density = weight_values(cfg.grid, cfg.weight) * np.abs(u.values) ** cfg.sigma
+        density = nonlinear_density(u, cfg)
         assert adapt_dt(u, cfg, 1e-3, density) == adapt_dt(u, cfg, 1e-3)
         shared = strang_step(u, cfg, 1e-3, density)
         assert np.array_equal(shared.values, strang_step(u, cfg, 1e-3).values)
@@ -618,3 +634,54 @@ def test_constant_dt_run_builds_one_propagator(monkeypatch):
     assert outcome.t_final == cfg.t_end == outcome.final_field.time_tag
     assert dynamics._kinetic_propagator.cache_info().misses == 1
     assert (len(densities), len(factors)) == (101, 101)
+
+
+# -- run reads the live mass as its finiteness check ------------------------
+
+def _inject_after_call(monkeypatch, name, call, value):
+    """Route ``dynamics.<name>`` through a wrapper that writes ``value`` into
+    one entry of the field returned by its ``call``-th call."""
+    original = getattr(dynamics, name)
+    count = []
+
+    def injecting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        count.append(None)
+        if len(count) == call:
+            result[0].values.flat[3] = value
+        return result
+
+    monkeypatch.setattr(dynamics, name, injecting)
+
+
+_BAD_ENTRIES = {
+    "nan": complex(np.nan, 0.0),
+    "inf": complex(np.inf, 0.0),
+    "minus_inf_imag": complex(0.0, -np.inf),
+    "huge": complex(1e200, 0.0),  # finite, but its square overflows the mass
+}
+
+
+class TestLiveMassFiniteness:
+    """A non-finite entry ends the run on the step that made it, as the
+    exact per-step scan did; a huge finite entry, which overflows the mass,
+    is not mistaken for one and ends the run as it did before."""
+
+    @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+    def test_radial(self, entry, monkeypatch):
+        cfg = _blowup_radial_config(t_end=0.02, blowup_ratio=1e3, record_every=3)
+        _inject_after_call(monkeypatch, "radial_cn_step", 5, _BAD_ENTRIES[entry])
+        outcome = run(cfg, gaussian_field(cfg.grid, 0.5, 1.0))
+        # the huge entry overflows the H1 seminorm: detected on its own step
+        expected = ("blowup_detected", 5) if entry == "huge" else ("non_finite", 4)
+        assert (outcome.termination, outcome.steps) == expected
+
+    @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+    def test_tensor(self, entry, monkeypatch):
+        cfg = replace(_focusing_3d_config(), t_end=0.01, record_every=3)
+        _inject_after_call(monkeypatch, "strang_step", 5, _BAD_ENTRIES[entry])
+        outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+        # the huge entry makes the spectral H1 seminorm NaN (inf times the
+        # zero multiplier of the mean), so the next step's phase ends the run
+        expected = ("non_finite", 5) if entry == "huge" else ("non_finite", 4)
+        assert (outcome.termination, outcome.steps) == expected

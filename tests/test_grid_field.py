@@ -10,6 +10,7 @@ from inls.grids import (
     Field,
     GridSpec,
     PotentialWeight,
+    abs_power,
     boundary_mass_fraction,
     dump_field,
     gaussian_field,
@@ -180,6 +181,25 @@ class TestSobolevNormInPlace:
         assert np.array_equal(u.values, before)
 
 
+class TestAbsPower:
+    @pytest.mark.parametrize("p", [2, 3, 5, 2.5, 4 / 3])
+    def test_within_four_ulp_of_pow(self, p):
+        rng = np.random.default_rng(11)
+        tiny = [0.0, 5e-324, 3e-320, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-105, 1e-78]
+        magnitudes = np.concatenate(
+            (tiny, 10.0 ** rng.uniform(-60.0, 60.0, 2000), rng.uniform(0.0, 3.0, 2000))
+        )
+        values = magnitudes * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, magnitudes.size))
+        values[:3] = magnitudes[:3]  # subnormals on the real axis, not split
+        expected = np.abs(values) ** p
+        got = abs_power(values, p)
+        assert np.all(np.abs(got - expected) <= 4.0 * np.spacing(expected))
+        out, scratch = np.empty(values.shape), np.empty(values.shape)
+        assert abs_power(values, p, out, scratch) is out
+        assert np.array_equal(out, got)  # both ways of calling round alike
+        assert np.array_equal(abs_power(values, p, out), got)
+
+
 class TestMassSumOfSquares:
     @pytest.mark.parametrize(
         "grid",
@@ -242,19 +262,19 @@ class TestLaplacianNormBound:
         assert ratio == pytest.approx(laplacian_norm_bound(grid), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_radial_bound_within_twice_top_eigenvalue(self, n):
-        grid = GridSpec.radial(n, 10.0, 64)
-        lower, diag, upper = radial_laplacian_bands(grid)
-        v = np.random.default_rng(n).standard_normal(grid.points)
-        top = 0.0
-        for _ in range(5000):  # power iteration on -Lap_h
-            w = -diag * v
-            w[:-1] -= upper[:-1] * v[1:]
-            w[1:] -= lower[1:] * v[:-1]
-            top = float(np.dot(v, w) / np.dot(v, v))
-            v = w / np.linalg.norm(w)
-        bound = laplacian_norm_bound(grid)
-        assert top <= bound <= 2.0 * top
+    def test_radial_bound_within_a_tenth_of_top_eigenvalue(self, n):
+        for points in (8, 64, 512):
+            grid = GridSpec.radial(n, 10.0, points)
+            lower, diag, upper = radial_laplacian_bands(grid)
+            lap = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+            # -Lap_h is self-adjoint in the node weights D, so D^1/2 (-Lap_h)
+            # D^-1/2 is symmetric with the same eigenvalues
+            root = np.sqrt(radial_node_weights(grid))
+            sym = -root[:, None] * lap / root[None, :]
+            assert np.allclose(sym, sym.T, rtol=0.0, atol=1e-14 * np.abs(sym).max())
+            top = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
+            bound = laplacian_norm_bound(grid)
+            assert top <= bound <= 1.1 * top, points
 
 
 class TestWeightedIntegrals:
