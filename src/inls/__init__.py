@@ -14,7 +14,7 @@ from .diagnostics import (
     theta_cutoff,
     virial_rhs,
 )
-from .dynamics import RunOutcome, SimConfig, adapt_dt, radial_cn_step, run, strang_step
+from .dynamics import RunOutcome, SimConfig, adapt_dt, radial_cn_step, run, start_state, strang_step
 from .exponents import (
     CRITICAL,
     INF,

@@ -19,7 +19,7 @@ from .grids import (
     weighted_potential_integral,
     weighted_quadratic,
 )
-from .ground_state import GroundStateQuantities
+from .ground_state import GroundStateQuantities, scaled_energy_ratio
 
 SYMMETRY_CLASSES = ("finite_variance", "radial", "cylindrical", "none")
 
@@ -62,8 +62,11 @@ class DiagnosticsRecord:
 def energy(u: Field, cfg: SimConfig) -> float:
     """Conserved energy: |u|_H1^2 / 2 + (lambda/(sigma+2)) * weighted potential."""
     h1 = hs_norm(u, 1)
-    pot = weighted_potential_integral(u, cfg.weight, cfg.sigma)
-    return 0.5 * h1 * h1 + cfg.lam / (cfg.sigma + 2.0) * pot
+    return _energy_from(h1 * h1, weighted_potential_integral(u, cfg.weight, cfg.sigma), cfg)
+
+
+def _energy_from(h1sq: float, pot: float, cfg: SimConfig) -> float:
+    return 0.5 * h1sq + cfg.lam / (cfg.sigma + 2.0) * pot
 
 
 def virial_rhs(u: Field, cfg: SimConfig) -> float:
@@ -147,7 +150,7 @@ def make_record(
     return DiagnosticsRecord(
         t=u.time_tag,
         mass=mass(u),
-        energy=0.5 * h1sq + cfg.lam / (cfg.sigma + 2.0) * pot,
+        energy=_energy_from(h1sq, pot, cfg),
         h1dot_sq=h1sq,
         weighted_potential=pot,
         variance=variance(u),
@@ -217,10 +220,9 @@ def classify_blowup(
     e_w = gs.energy
     h1_w = gs.h1dot
     if isinstance(u0, ScaledGroundState):
-        c = u0.c
-        sig1 = gs.profile.sigma1
-        e0 = (0.5 * c**2 - c ** (sig1 + 2.0) / (sig1 + 2.0)) * gs.h1dot_sq
-        h1_0 = c * h1_w
+        energy_ratio, h1_ratio = scaled_energy_ratio(u0.c, gs)
+        e0 = energy_ratio * gs.h1dot_sq
+        h1_0 = h1_ratio * h1_w
     else:
         e0 = energy(u0, cfg)
         h1_0 = hs_norm(u0, 1)

@@ -1,13 +1,19 @@
 """Time integration of i u_t + Lap u = lambda w(x) |u|^sigma u.
 
+Both steppers have one shape, ``step(u, cfg, dt, state) -> (field, state)``.
+``start_state(u, cfg)`` builds the ``StepState`` before the first step; each
+step consumes the state of its input and returns it refilled for its output,
+so ``state.density`` is always w |u|^sigma of the current field (None when
+lam = 0), the one density ``adapt_dt`` reads and the next step starts from.
+
 Tensor grids: Strang splitting with an exact spectral free propagator and
 pointwise nonlinear phases (both substeps preserve the discrete mass to
-roundoff); ``run`` hands each step's trailing half-phase and density to the
-next step (``HalfPhase``).  Radial grids: linearly implicit Crank-Nicolson
-with a relaxed nonlinear density (two-level update of phi ~ w |u|^sigma),
-which keeps the one-step map a Cayley transform of a self-adjoint operator
-and therefore conserves the discrete mass exactly up to the tridiagonal
-solve.  The step is taken in its Cayley form u_next = (4i/dt) B^-1 u - u with
+roundoff); the state carries the trailing half-phase into the next step.
+Radial grids: linearly implicit Crank-Nicolson with a relaxed nonlinear
+density (two-level update of phi ~ w |u|^sigma, carried in the state), which
+keeps the one-step map a Cayley transform of a self-adjoint operator and
+therefore conserves the discrete mass exactly up to the tridiagonal solve.
+The step is taken in its Cayley form u_next = (4i/dt) B^-1 u - u with
 B = Lap_h - lam phi + (2i/dt) I: one tridiagonal solve, no matrix product.
 
 Step size is adapted so the nonlinear phase rotation per step stays below
@@ -21,7 +27,7 @@ because ``hs_norm(u, 1)**2 <= rho_h * mass(u)`` with rho_h =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
 
@@ -155,58 +161,55 @@ def _half_phase(
 
 
 @dataclass
-class HalfPhase:
-    """The trailing state of a Strang step, handed to the next step as the
-    radial stepper hands on ``phi``.
+class StepState:
+    """What a step hands to the next one.
 
-    The half-phase factor has modulus one and leaves |u| unchanged, so the
-    ``density`` behind a step's trailing half-phase is also the density of
-    the next step's input, and while dt stays the same the next step's
-    leading factor equals the trailing ``factor`` (first same as last).
-    ``density`` is None when lam = 0.  The step that receives a HalfPhase
-    consumes it: the factor's buffer becomes the FFT work array and the
-    density buffer is refilled in place.
+    ``density`` is w |u|^sigma of the field the state belongs to (None when
+    lam = 0); ``adapt_dt`` reads it and the next step starts from it.
+    ``phi`` is the radial stepper's relaxed half-step density (None before
+    the first radial step).  ``factor`` and ``dt`` are the tensor stepper's
+    trailing half-phase and the dt it was built for.  The half-phase has
+    modulus one and leaves |u| unchanged, so the density taken before it is
+    that of the step's output, and while dt stays the same the next step's
+    leading factor equals it (first same as last).  A step consumes the
+    state it is given and returns it refilled for its output.
     """
 
     density: Optional[np.ndarray]
+    phi: Optional[np.ndarray] = None
     factor: Optional[np.ndarray] = None
     dt: Optional[float] = None
 
 
-def strang_step(
-    u: Field,
-    cfg: SimConfig,
-    dt: float,
-    density: Optional[np.ndarray] = None,
-    carry: Optional[HalfPhase] = None,
-):
-    """One Strang step on a tensor grid: half nonlinear phase, exact spectral
-    free flight, half nonlinear phase.  ``density`` is
-    ``nonlinear_density(u, cfg)`` when the caller already has it.
+def start_state(u: Field, cfg: SimConfig) -> StepState:
+    """The state before the first step from ``u``."""
+    return StepState(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
 
-    Returns the stepped Field.  With ``carry``, a HalfPhase whose density is
-    that of ``u`` (as the previous step returned it), the step reads the
-    density from it, reuses its factor when it was built for this dt, and
-    returns ``(field, carry)`` with ``carry`` refilled for the new field.
+
+def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] = None):
+    """One Strang step on a tensor grid: half nonlinear phase, exact spectral
+    free flight, half nonlinear phase.
+
+    ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None); the step
+    reuses its factor when it was built for this dt, else frees it and
+    rebuilds it from the density.  Returns ``(field, state)``: the factor's
+    buffer becomes the FFT work array and the density buffer is refilled in
+    place for the new field.
     """
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
+    if state is None:
+        state = start_state(u, cfg)
     grid = u.grid
     v = u.values
     if cfg.lam != 0.0:
-        factor = None
-        if carry is not None:
-            density = carry.density
-            if carry.dt == dt:
-                factor = carry.factor
-            carry.factor = None  # a stale factor is freed before the rebuild
-        elif density is None:
-            density = nonlinear_density(u, cfg)
+        factor = state.factor if state.dt == dt else None
+        state.factor = None  # a stale factor is freed before the rebuild
         if factor is None:
-            factor = _half_phase(density, cfg, dt)
+            factor = _half_phase(state.density, cfg, dt)
         factor *= u.values
         v = factor
-        del factor, density  # not needed past here; the FFTs below run in place
+        del factor  # not needed past here; the FFTs below run in place
     vhat = scipy.fft.fftn(v, workers=thread_count(), overwrite_x=v is not u.values)
     vhat *= _kinetic_propagator(grid, dt, cfg.dealias)
     out = Field(
@@ -215,14 +218,11 @@ def strang_step(
         time_tag=u.time_tag + dt,
     )
     if cfg.lam != 0.0:
-        buffer = None if carry is None else carry.density
         angle = np.empty(grid.shape)  # first |u| for |u|^sigma, then the angle
-        density = nonlinear_density(out, cfg, buffer, scratch=angle)
-        factor = _half_phase(density, cfg, dt, angle)
-        out.values *= factor
-        if carry is not None:
-            carry.factor, carry.dt = factor, dt
-    return out if carry is None else (out, carry)
+        density = nonlinear_density(out, cfg, state.density, scratch=angle)
+        state.factor, state.dt = _half_phase(density, cfg, dt, angle), dt
+        out.values *= state.factor
+    return out, state
 
 
 @lru_cache(maxsize=64)
@@ -239,40 +239,34 @@ def _radial_band_table(grid: GridSpec) -> np.ndarray:
     return table
 
 
-def radial_cn_step(
-    u: Field,
-    cfg: SimConfig,
-    dt: float,
-    phi: Optional[np.ndarray] = None,
-    density: Optional[np.ndarray] = None,
-):
+def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] = None):
     """One relaxed Crank-Nicolson step on a radial grid.
 
     The nonlinear density phi ~ w |u|^sigma is advanced by the two-level
-    relaxation update phi_next = 2 w |u|^sigma - phi.  With
+    relaxation update phi_next = 2 w |u|^sigma - phi; a cold start (no
+    ``state.phi``) takes phi_next = w |u|^sigma.  With
     M = Lap - lam phi_next, the step (1 - i dt/2 M) u_next = (1 + i dt/2 M) u
     is taken in its Cayley form u_next = (4i/dt) B^-1 u - u, where
     B = M + (2i/dt) I: since (1 + i dt/2 M) u = 2u - (1 - i dt/2 M) u, one
     tridiagonal solve with u itself as right-hand side and no matrix product.
     B's off-diagonals are the real Laplacian bands, independent of dt and
-    phi.  ``phi`` is the previous half-step density; a cold start uses
-    w |u|^sigma.  ``density`` is ``nonlinear_density(u, cfg)`` when the
-    caller already has it.  ``u`` is left unmodified.
+    phi.  ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None);
+    ``u`` is left unmodified.
 
-    Returns ``(field, phi_next)``; thread phi_next into the following call.
+    Returns ``(field, state)`` with ``state`` refilled for the new field.
     """
     if u.grid.kind != "radial":
         raise ValueError("radial_cn_step runs on radial grids")
+    if state is None:
+        state = start_state(u, cfg)
     grid = u.grid
-    if density is None:
-        density = nonlinear_density(u, cfg)
-    if phi is None:
-        phi = density
-    phi_next = 2.0 * density - phi
-
     ab = _radial_band_table(grid).copy()
     centre = ab[1]
-    np.subtract(centre.real, cfg.lam * phi_next, out=centre.real)
+    if cfg.lam != 0.0:
+        density = state.density
+        phi_next = density if state.phi is None else 2.0 * density - state.phi
+        np.subtract(centre.real, cfg.lam * phi_next, out=centre.real)
+        state.phi = phi_next
     centre.imag = 2.0 / dt
     # unchecked: a non-finite field is caught by run's check after the step
     try:
@@ -283,20 +277,19 @@ def radial_cn_step(
         raise FloatingPointError(f"tridiagonal solve failed: {exc}") from exc
     v_next *= 4j / dt
     v_next -= u.values
-    return Field(grid=grid, values=v_next, time_tag=u.time_tag + dt), phi_next
+    out = Field(grid=grid, values=v_next, time_tag=u.time_tag + dt)
+    if cfg.lam != 0.0:
+        state.density = nonlinear_density(out, cfg)
+    return out, state
 
 
-def adapt_dt(
-    u: Field, cfg: SimConfig, dt_prev: float, density: Optional[np.ndarray] = None
-) -> float:
+def adapt_dt(state: StepState, cfg: SimConfig) -> float:
     """Next step size: cap the nonlinear phase rotation per step at
-    ``safety`` radians, clamped to [dt_min, dt_init].  ``density`` is
-    ``nonlinear_density(u, cfg)`` when the caller already has it."""
+    ``safety`` radians, clamped to [dt_min, dt_init]; reads the density
+    of ``state``."""
     if cfg.lam == 0.0:
         return cfg.dt_init
-    if density is None:
-        density = nonlinear_density(u, cfg)
-    rate = abs(cfg.lam) * float(np.max(density))
+    rate = abs(cfg.lam) * float(np.max(state.density))
     if rate <= 0.0:
         return cfg.dt_init
     dt = min(cfg.dt_init, cfg.safety / rate)
@@ -332,19 +325,13 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     steps = 0
     pinned = 0
     dt_prev = cfg.dt_init
-    phi = None
-    carry = None
-    if cfg.grid.kind == "tensor":
-        carry = HalfPhase(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
+    step = strang_step if cfg.grid.kind == "tensor" else radial_cn_step
+    state = start_state(u, cfg)
     termination = "completed"
     t_stop = cfg.t_end * (1.0 - 1e-12)
 
     while t < t_stop:
-        if carry is not None:
-            density = carry.density
-        else:
-            density = nonlinear_density(u, cfg) if cfg.lam != 0.0 else None
-        dt = adapt_dt(u, cfg, dt_prev, density)
+        dt = adapt_dt(state, cfg)
         if dt <= cfg.dt_min:
             pinned += 1
             if pinned >= 10:
@@ -359,10 +346,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         final = abs(remaining - dt) <= 1e-9 * dt
         dt_step = dt if final else min(dt, remaining)
         try:
-            if carry is not None:
-                u, carry = strang_step(u, cfg, dt_step, carry=carry)
-            else:
-                u, phi = radial_cn_step(u, cfg, dt_step, phi, density)
+            u, state = step(u, cfg, dt_step, state)
         except FloatingPointError:
             termination = "non_finite"
             break

@@ -287,6 +287,10 @@ def hs_norm(u: Field, s: float) -> float:
         total = np.einsum("i,i->", multiplier, pairs[:, 0]) + np.einsum(
             "i,i->", multiplier, pairs[:, 1]
         )
+        # an overflowed square times the mean's zero multiplier is NaN; a
+        # finite field's seminorm then is inf, so blow-up checks still fire
+        if math.isnan(total) and np.all(np.isfinite(u.values.view(np.float64))):
+            total = math.inf
         return math.sqrt(float(total) * grid.cell_measure / u.values.size)
     if s != 1:
         raise ValueError("radial grids support only s = 0 and s = 1")

@@ -138,7 +138,7 @@ def test_criterion_3_integrator_suite():
     u = gaussian_field(grid, 1.0, 1.0)
     m0 = mass(u)
     for _ in range(1000):
-        u = strang_step(u, cfg, 1e-3)
+        u = strang_step(u, cfg, 1e-3)[0]
     drift = abs(mass(u) - m0) / m0
     ok = drift <= 1e-9
     notes.append(f"strang mass drift {drift:.1e}")
@@ -147,7 +147,7 @@ def test_criterion_3_integrator_suite():
     def strang_final(dt):
         v = gaussian_field(grid, 1.0, 1.0)
         for _ in range(round(0.1 / dt)):
-            v = strang_step(v, cfg, dt)
+            v = strang_step(v, cfg, dt)[0]
         return v.values
 
     a, b_, c = strang_final(2e-3), strang_final(1e-3), strang_final(5e-4)
@@ -194,7 +194,7 @@ def test_criterion_3_integrator_suite():
     # free-propagator time reversal
     free = replace(cfg, lam=0.0)
     u0 = gaussian_field(grid, 1.0, 1.0)
-    back = strang_step(strang_step(u0, free, 0.02), free, -0.02)
+    back = strang_step(strang_step(u0, free, 0.02)[0], free, -0.02)[0]
     reversal = la.norm(back.values - u0.values) / la.norm(u0.values)
     ok &= reversal <= 1e-12
     notes.append(f"reversal {reversal:.1e}")

@@ -11,12 +11,13 @@ import scipy.linalg
 
 from inls import dynamics, exponents
 from inls.dynamics import (
-    HalfPhase,
     SimConfig,
+    StepState,
     adapt_dt,
     nonlinear_density,
     radial_cn_step,
     run,
+    start_state,
     strang_step,
 )
 from inls.exponents import CRITICAL, CriticalityParams
@@ -38,8 +39,8 @@ from inls.grids import (
 class TestStrangStep:
     def test_free_semigroup_property(self, free_2d_config):
         u0 = gaussian_field(free_2d_config.grid, 1.0, 1.0)
-        twice = strang_step(strang_step(u0, free_2d_config, 0.01), free_2d_config, 0.01)
-        once = strang_step(u0, free_2d_config, 0.02)
+        twice = strang_step(strang_step(u0, free_2d_config, 0.01)[0], free_2d_config, 0.01)[0]
+        once = strang_step(u0, free_2d_config, 0.02)[0]
         assert la.norm(twice.values - once.values) / la.norm(once.values) < 1e-13
 
     def test_single_mode_phase(self, free_2d_config):
@@ -48,19 +49,19 @@ class TestStrangStep:
         xi = (2 * math.pi * 3 / grid.extent, 2 * math.pi * 1 / grid.extent)
         u = Field(grid, np.exp(1j * (xi[0] * xs[0] + xi[1] * xs[1])))
         dt = 0.0173
-        stepped = strang_step(u, free_2d_config, dt)
+        stepped = strang_step(u, free_2d_config, dt)[0]
         expected = u.values * np.exp(-1j * dt * (xi[0] ** 2 + xi[1] ** 2))
         assert np.max(np.abs(stepped.values - expected)) < 1e-12
 
     def test_mass_preserved_per_step(self, defocusing_2d_config):
         u = gaussian_field(defocusing_2d_config.grid, 1.0, 1.0)
         m0 = mass(u)
-        stepped = strang_step(u, defocusing_2d_config, 1e-3)
+        stepped = strang_step(u, defocusing_2d_config, 1e-3)[0]
         assert abs(mass(stepped) - m0) / m0 < 1e-12
 
     def test_free_time_reversal(self, free_2d_config):
         u0 = gaussian_field(free_2d_config.grid, 1.0, 1.0)
-        back = strang_step(strang_step(u0, free_2d_config, 0.02), free_2d_config, -0.02)
+        back = strang_step(strang_step(u0, free_2d_config, 0.02)[0], free_2d_config, -0.02)[0]
         assert la.norm(back.values - u0.values) / la.norm(u0.values) < 1e-12
 
     def test_rejects_radial_grid(self, focusing_radial_config):
@@ -75,18 +76,18 @@ class TestStrangStep:
         k_hi = grid.points // 2 - 1  # top-third integer mode
         xi = 2 * math.pi * k_hi / grid.extent
         u = Field(grid, np.exp(1j * xi * xs[0]))
-        stepped = strang_step(u, cfg, 1e-3)
+        stepped = strang_step(u, cfg, 1e-3)[0]
         assert np.max(np.abs(stepped.values)) < 1e-12
         # low modes survive untouched
         low = Field(grid, np.exp(1j * 2 * math.pi * 3 / grid.extent * xs[0]))
-        kept = strang_step(low, cfg, 1e-3)
+        kept = strang_step(low, cfg, 1e-3)[0]
         assert mass(kept) == pytest.approx(mass(low), rel=1e-12)
 
     def test_self_convergence_order(self, defocusing_2d_config):
         def final(dt):
             u = gaussian_field(defocusing_2d_config.grid, 1.0, 1.0)
             for _ in range(round(0.1 / dt)):
-                u = strang_step(u, defocusing_2d_config, dt)
+                u = strang_step(u, defocusing_2d_config, dt)[0]
             return u.values
 
         coarse, mid, fine = final(4e-3), final(2e-3), final(1e-3)
@@ -104,9 +105,9 @@ class TestRadialStep:
     def test_mass_conservation(self, focusing_radial_config):
         u = gaussian_field(focusing_radial_config.grid, 0.5, 1.0)
         m0 = mass(u)
-        phi = None
+        state = None
         for _ in range(200):
-            u, phi = radial_cn_step(u, focusing_radial_config, 1e-3, phi)
+            u, state = radial_cn_step(u, focusing_radial_config, 1e-3, state)
         assert abs(mass(u) - m0) / m0 < 1e-11
 
     def test_self_convergence_order_smooth(self):
@@ -128,9 +129,9 @@ class TestRadialStep:
 
         def final(dt):
             u = gaussian_field(grid, 1.0, 1.0)
-            phi = None
+            state = None
             for _ in range(round(0.2 / dt)):
-                u, phi = radial_cn_step(u, cfg, dt, phi)
+                u, state = radial_cn_step(u, cfg, dt, state)
             return u.values
 
         coarse, mid, fine = final(2e-3), final(1e-3), final(5e-4)
@@ -147,24 +148,25 @@ class TestAdaptDt:
     def test_zero_field_gives_dt_init(self, focusing_radial_config):
         grid = focusing_radial_config.grid
         u = Field(grid, np.zeros(grid.points))
-        assert adapt_dt(u, focusing_radial_config, 1e-3) == focusing_radial_config.dt_init
+        cfg = focusing_radial_config
+        assert adapt_dt(start_state(u, cfg), cfg) == cfg.dt_init
 
     def test_free_run_gives_dt_init(self, free_2d_config):
         u = gaussian_field(free_2d_config.grid, 100.0, 1.0)
-        assert adapt_dt(u, free_2d_config, 1e-3) == free_2d_config.dt_init
+        assert adapt_dt(start_state(u, free_2d_config), free_2d_config) == free_2d_config.dt_init
 
     def test_amplitude_scaling(self, focusing_radial_config):
         cfg = replace(focusing_radial_config, dt_init=10.0)
         u = gaussian_field(cfg.grid, 5.0, 1.0)
         doubled = Field(cfg.grid, 2.0 * u.values)
-        dt1 = adapt_dt(u, cfg, 1.0)
-        dt2 = adapt_dt(doubled, cfg, 1.0)
+        dt1 = adapt_dt(start_state(u, cfg), cfg)
+        dt2 = adapt_dt(start_state(doubled, cfg), cfg)
         assert dt2 == pytest.approx(dt1 * 2.0 ** -cfg.sigma, rel=1e-12)
 
     def test_clamped_at_dt_min(self, focusing_radial_config):
         cfg = replace(focusing_radial_config, dt_min=1e-4)
         u = gaussian_field(cfg.grid, 1e4, 1.0)
-        assert adapt_dt(u, cfg, 1e-3) == cfg.dt_min
+        assert adapt_dt(start_state(u, cfg), cfg) == cfg.dt_min
 
 
 class TestRun:
@@ -325,10 +327,11 @@ class TestMatchesOriginalSteppers:
         v, phi_ref = gaussian_field(grid, 1.5, 1.0).values, None
         for k in range(200):
             dt = 1e-3 * (1.0 + 0.5 * math.sin(0.7 * k))
-            u, phi = radial_cn_step(Field(grid, v), cfg, dt, phi_ref)
+            u = Field(grid, v)
+            u, state = radial_cn_step(u, cfg, dt, StepState(nonlinear_density(u, cfg), phi_ref))
             v, phi_ref = _reference_radial_step(v, cfg, dt, phi_ref)
             assert la.norm(u.values - v) / la.norm(v) <= 1e-12, f"differs at step {k}"
-            assert la.norm(phi - phi_ref) / la.norm(phi_ref) <= 1e-12
+            assert la.norm(state.phi - phi_ref) / la.norm(phi_ref) <= 1e-12
             assert mass(u) == pytest.approx(mass(Field(grid, v)), rel=1e-14, abs=0.0)
 
     def test_radial_step_leaves_input_unmodified(self, focusing_radial_config):
@@ -337,7 +340,7 @@ class TestMatchesOriginalSteppers:
         before = u.values.copy()
         density = nonlinear_density(u, cfg)
         phi = 0.9 * density
-        out, _ = radial_cn_step(u, cfg, 1e-3, phi, density)
+        out, _ = radial_cn_step(u, cfg, 1e-3, StepState(density, phi))
         assert np.array_equal(u.values, before)
         assert out.values is not u.values
         out, _ = radial_cn_step(u, cfg, 1e-3)
@@ -349,7 +352,7 @@ class TestMatchesOriginalSteppers:
         v = u.values.copy()
         for _ in range(1000):
             v = _reference_strang_step(v, cfg, 1e-3)
-            u = strang_step(u, cfg, 1e-3)
+            u = strang_step(u, cfg, 1e-3)[0]
         assert la.norm(u.values - v) / la.norm(v) <= 1e-12
 
     def test_strang_matches_complex_exp_3d_focusing(self):
@@ -359,16 +362,8 @@ class TestMatchesOriginalSteppers:
         for k in range(20):
             dt = 1e-3 if k % 5 else 7e-4  # a dt change rebuilds the propagator
             v = _reference_strang_step(v, cfg, dt)
-            u = strang_step(u, cfg, dt)
+            u = strang_step(u, cfg, dt)[0]
         assert la.norm(u.values - v) / la.norm(v) <= 1e-12
-
-    def test_shared_density_changes_nothing(self):
-        cfg = _focusing_3d_config()
-        u = gaussian_field(cfg.grid, 1.0, 1.0)
-        density = nonlinear_density(u, cfg)
-        assert adapt_dt(u, cfg, 1e-3, density) == adapt_dt(u, cfg, 1e-3)
-        shared = strang_step(u, cfg, 1e-3, density)
-        assert np.array_equal(shared.values, strang_step(u, cfg, 1e-3).values)
 
     def test_critical_power_resolved_once_per_run(self, monkeypatch):
         calls = []
@@ -435,12 +430,14 @@ class TestCarriedHalfPhase:
     def test_first_step_bitwise_equal_to_direct_call(self):
         cfg = _focusing_3d_config()
         u = gaussian_field(cfg.grid, 1.0, 1.0)
-        carried, carry = strang_step(u, cfg, 1e-3, carry=HalfPhase(nonlinear_density(u, cfg)))
-        assert np.array_equal(carried.values, strang_step(u, cfg, 1e-3).values)
-        assert carry.dt == 1e-3
+        state = start_state(u, cfg)
+        state.factor, state.dt = np.ones(cfg.grid.shape, dtype=complex), 5e-4  # another dt's
+        carried, state = strang_step(u, cfg, 1e-3, state)
+        assert np.array_equal(carried.values, strang_step(u, cfg, 1e-3)[0].values)
+        assert state.dt == 1e-3
         # first same as last: the carried factor is the next leading factor
         fresh = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(carried, cfg))
-        assert np.max(np.abs(carry.factor - fresh)) <= 1e-14
+        assert np.max(np.abs(state.factor - fresh)) <= 1e-14
 
     def test_run_matches_reference_3d_shortened_final_step(self, monkeypatch):
         cfg = replace(_focusing_3d_config(), t_end=0.0205)
@@ -465,17 +462,23 @@ class TestCarriedHalfPhase:
         v = _reference_run(cfg, u0, dts)
         assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
 
-    def test_one_density_and_one_factor_per_step(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, stepper, factors_per_run",
+        [("tensor", "strang_step", 101), ("radial", "radial_cn_step", 0)],
+        ids=["tensor", "radial"],
+    )
+    def test_one_density_and_one_factor_per_step(self, kind, stepper, factors_per_run, monkeypatch):
         densities = _spy(monkeypatch, "nonlinear_density")
         factors = _spy(monkeypatch, "_half_phase")
         dt = 2.0**-10  # exact in binary, so t reaches t_end without a short step
-        cfg = replace(_focusing_3d_config(), dt_init=dt, t_end=100 * dt, record_every=10)
-        steps = _spy(monkeypatch, "strang_step")
+        base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config(blowup_ratio=1e3)
+        cfg = replace(base, dt_init=dt, t_end=100 * dt, record_every=10)
+        steps = _spy(monkeypatch, stepper)
         outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
         dts = [args[2] for args in steps]
         assert outcome.termination == "completed"
         assert outcome.steps == 100 and set(dts) == {dt}
-        assert (len(densities), len(factors)) == (101, 101)
+        assert (len(densities), len(factors)) == (101, factors_per_run)
 
     def test_carried_factor_adds_no_peak_memory(self, monkeypatch):
         cfg = replace(_focusing_3d_config(), t_end=0.0205, record_every=5)
@@ -493,14 +496,26 @@ class TestCarriedHalfPhase:
         with_carry = peak()
         original = dynamics.strang_step
 
-        def dropping_factor(u, cfg, dt, carry):
-            out, carry = original(u, cfg, dt, carry=carry)
-            carry.factor = None  # every step rebuilds its leading factor
-            return out, carry
+        def dropping_factor(u, cfg, dt, state):
+            out, state = original(u, cfg, dt, state)
+            state.factor = None  # every step rebuilds its leading factor
+            return out, state
 
         monkeypatch.setattr(dynamics, "strang_step", dropping_factor)
         without = peak()
         assert with_carry <= without + 4096  # bytes: bookkeeping, not a buffer
+
+
+@pytest.mark.parametrize("kind", ["tensor", "radial"])
+def test_adapt_dt_reads_cfg_second_once_per_step(kind, monkeypatch):
+    # the benchmark tracer reads each call's clamp from args[1].dt_init
+    base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config(blowup_ratio=1e3)
+    cfg = replace(base, t_end=0.01, record_every=3)
+    calls = _spy(monkeypatch, "adapt_dt")
+    outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+    assert outcome.termination == "completed" and outcome.steps > 1
+    assert len(calls) == outcome.steps
+    assert all(args[1] is cfg for args in calls)
 
 
 # -- the blow-up check is skipped where the grid bound proves it cannot fire --
@@ -513,16 +528,12 @@ def _every_step_check_run(cfg, u0):
     u = Field(grid=u0.grid, values=u0.values.copy(), time_tag=0.0)
     h1_0 = hs_norm(u, 1)
     records = [make_record(u, cfg, dt=cfg.dt_init)]
-    t, steps, pinned, dt_prev, phi, carry = 0.0, 0, 0, cfg.dt_init, None, None
-    if cfg.grid.kind == "tensor":
-        carry = HalfPhase(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
+    t, steps, pinned, dt_prev = 0.0, 0, 0, cfg.dt_init
+    step = strang_step if cfg.grid.kind == "tensor" else radial_cn_step
+    state = start_state(u, cfg)
     termination = "completed"
     while t < cfg.t_end * (1.0 - 1e-12):
-        if carry is not None:
-            density = carry.density
-        else:
-            density = nonlinear_density(u, cfg) if cfg.lam != 0.0 else None
-        dt = adapt_dt(u, cfg, dt_prev, density)
+        dt = adapt_dt(state, cfg)
         if dt <= cfg.dt_min:
             pinned += 1
             if pinned >= 10:
@@ -532,10 +543,7 @@ def _every_step_check_run(cfg, u0):
             pinned = 0
         final = abs(cfg.t_end - t - dt) <= 1e-9 * dt
         dt_step = dt if final else min(dt, cfg.t_end - t)
-        if carry is not None:
-            u, carry = strang_step(u, cfg, dt_step, carry=carry)
-        else:
-            u, phi = radial_cn_step(u, cfg, dt_step, phi, density)
+        u, state = step(u, cfg, dt_step, state)
         if not np.all(np.isfinite(u.values)):
             termination = "non_finite"
             break
@@ -681,7 +689,7 @@ class TestLiveMassFiniteness:
         cfg = replace(_focusing_3d_config(), t_end=0.01, record_every=3)
         _inject_after_call(monkeypatch, "strang_step", 5, _BAD_ENTRIES[entry])
         outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
-        # the huge entry makes the spectral H1 seminorm NaN (inf times the
-        # zero multiplier of the mean), so the next step's phase ends the run
-        expected = ("non_finite", 5) if entry == "huge" else ("non_finite", 4)
+        # the huge entry overflows the spectral H1 seminorm to inf: detected
+        # on its own step, as on the radial grid
+        expected = ("blowup_detected", 5) if entry == "huge" else ("non_finite", 4)
         assert (outcome.termination, outcome.steps) == expected
