@@ -15,6 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -94,31 +95,32 @@ def _json_text(obj, indent=0) -> str:
 
 
 # ---------------------------------------------------------------- run config
+#
+# A parser takes one JSON value and returns it parsed or raises ValueError,
+# which _parse_section prefixes with the key's name.  Range checks stay with
+# the objects built from the values (SimConfig, GridSpec, ...).
 
-_SECTION_KEYS = {
-    "params": {"n", "s", "b", "sigma", "lambda"},
-    "grid": {"kind", "extent", "r_max", "points"},
-    "weight": {"delta"},
-    "time": {"dt_init", "dt_min", "t_end", "record_every", "blowup_ratio", "safety"},
-    "initial": {"type", "amplitude", "width", "scale_c", "path", "epsilon"},
-    "output": {"directory", "dump_fields"},
-}
+def _accept(ok, what: str):
+    """A parser that returns the value unchanged when ``ok(value)`` holds."""
 
+    def parse(value):
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return value
 
-def _check_keys(section: str, data: dict):
-    unknown = set(data) - _SECTION_KEYS[section]
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{section}': {', '.join(sorted(unknown))}")
-
-
-def _positive_int(value, name: str) -> int:
-    """A JSON integer >= 1; floats and booleans are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
+    return parse
 
 
-def _number(value, name: str) -> float:
+# _integer refuses floats and booleans rather than truncating them
+_integer = _accept(lambda value: type(value) is int and value >= 1, "an integer >= 1")
+_text = _accept(lambda value: isinstance(value, str), "a string")
+
+
+def _choice(*options):
+    return _accept(lambda value: value in options, f"one of {', '.join(options)}")
+
+
+def _number(value) -> float:
     """A finite JSON number, or a string float() reads as one; null, booleans,
     other types, NaN and infinities are refused."""
     try:
@@ -128,161 +130,179 @@ def _number(value, name: str) -> float:
         if not math.isfinite(number):
             raise ValueError
     except (ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}") from None
+        raise ValueError(f"must be a finite number, got {value!r}") from None
     return number
+
+
+def _rational(value) -> Fraction:
+    """An exact rational (``parse_rational``) that the run's floats can hold."""
+    frac = parse_rational(value)
+    if abs(frac) > sys.float_info.max:
+        raise ValueError(f"{value!r} is too large for a float")
+    return frac
+
+
+def _or_auto(parse):
+    return lambda value: "auto" if value == "auto" else parse(value)
+
+
+def _scale_factor(value) -> float:
+    return diagnostics.ScaledGroundState(_number(value)).c
+
+
+_REQUIRED = object()
+_REFUSED = object()
+
+
+class _Key(NamedTuple):
+    """One config key.  ``default`` is what an absent key takes (or _REQUIRED);
+    ``echo=False`` shows it in ``canonical()`` only when given.  With
+    ``when=(selector, value)`` the key is required where the section's
+    selector has that value, and takes ``default`` elsewhere (_REFUSED: the
+    key is rejected there)."""
+
+    parse: Callable
+    default: Any = _REQUIRED
+    echo: bool = True
+    when: Optional[tuple] = None
+
+
+# The one config schema: sections and keys in canonical order.  The grid and
+# time keys are the field names of GridSpec and SimConfig; RunConfig writes
+# the resolved sigma, delta and dt_min back into the parsed values.
+_SCHEMA = {
+    "params": {
+        "n": _Key(_integer),
+        "s": _Key(_rational),
+        "b": _Key(_rational),
+        "sigma": _Key(_or_auto(_rational)),
+        "lambda": _Key(_number),
+    },
+    "grid": {
+        "kind": _Key(_choice("tensor", "radial")),
+        "points": _Key(_integer),
+        "extent": _Key(_number, _REFUSED, when=("kind", "tensor")),
+        "r_max": _Key(_number, _REFUSED, when=("kind", "radial")),
+    },
+    "weight": {"delta": _Key(_or_auto(_number), "auto")},
+    "time": {
+        "dt_init": _Key(_number),
+        "dt_min": _Key(_number, None),  # None: dt_init * 1e-8
+        "t_end": _Key(_number),
+        "record_every": _Key(_integer, dynamics.SimConfig.record_every),
+        "blowup_ratio": _Key(_number, dynamics.SimConfig.blowup_ratio),
+        "safety": _Key(_number, dynamics.SimConfig.safety),
+    },
+    "initial": {
+        "type": _Key(_choice("gaussian", "ground_state_scaled", "file")),
+        "amplitude": _Key(_number, 1.0, echo=False),
+        "width": _Key(_number, 1.0, echo=False),
+        "scale_c": _Key(_scale_factor, 1.0, echo=False),
+        "epsilon": _Key(_number, 1.0, echo=False),
+        "path": _Key(_text, None, echo=False, when=("type", "file")),
+    },
+    "output": {
+        "directory": _Key(lambda value: Path(_text(value)), Path("runs")),
+        "dump_fields": _Key(_accept(lambda value: isinstance(value, bool), "true or false"), False),
+    },
+}
+
+
+def _check_object(data, allowed, what: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {what}: {', '.join(sorted(unknown))}")
+
+
+def _parse_section(section: str, data) -> dict:
+    """Every key of one section, parsed or defaulted, in schema order."""
+    keys = _SCHEMA[section]
+    _check_object(data, keys, f"section '{section}'")
+    values = {}
+    for key, spec in keys.items():
+        default = spec.default
+        if spec.when is not None:
+            selector, match = spec.when
+            if values[selector] == match:
+                default = _REQUIRED
+        if key in data:
+            if default is _REFUSED:
+                raise ConfigError(f"{section}.{key} is refused unless {selector} is {match}")
+            try:
+                values[key] = spec.parse(data[key])
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from None
+        elif default is _REQUIRED:
+            raise ConfigError(f"{section}.{key} is required")
+        elif default is not _REFUSED:
+            values[key] = default
+    return values
 
 
 class RunConfig:
     """Parsed, validated run configuration with a canonical echo form."""
 
     def __init__(self, raw: dict):
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - set(_SECTION_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
-        for section in ("params", "grid", "time", "initial"):
-            if section not in raw:
-                raise ConfigError(f"missing section '{section}'")
-
-        par = dict(raw["params"])
-        _check_keys("params", par)
-        for key in ("n", "s", "b", "sigma", "lambda"):
-            if key not in par:
-                raise ConfigError(f"params.{key} is required")
-        n = par["n"]
-        if not isinstance(n, int):
-            raise ConfigError("params.n must be an integer")
-        s = parse_rational(par["s"])
-        b = parse_rational(par["b"])
-        sigma = par["sigma"]
-        if sigma == "auto":
-            sigma = CRITICAL
-        else:
-            sigma = parse_rational(sigma)
-        lam = _number(par["lambda"], "params.lambda")
-        sign = "focusing" if lam < 0 else "defocusing"
+        _check_object(raw, _SCHEMA, "config")
+        self._values = {name: _parse_section(name, raw.get(name, {})) for name in _SCHEMA}
+        self._given = {name: set(raw.get(name, {})) for name in _SCHEMA}
+        par, weight, time = (self._values[section] for section in ("params", "weight", "time"))
+        self.lam = par["lambda"]
         try:
-            self.params = CriticalityParams(n=n, s=s, b=b, sigma=sigma, lambda_sign=sign)
+            self.params = CriticalityParams(
+                n=par["n"],
+                s=par["s"],
+                b=par["b"],
+                sigma=CRITICAL if par["sigma"] == "auto" else par["sigma"],
+                lambda_sign="focusing" if self.lam < 0 else "defocusing",
+            )
+            par["sigma"] = self.params.sigma_value
+            self.grid = GridSpec(n=par["n"], **self._values["grid"])
+            if weight["delta"] == "auto":
+                weight["delta"] = self.grid.spacing if self.grid.kind == "tensor" else 0.0
+            self.weight = PotentialWeight(b=float(par["b"]), delta=weight["delta"])
+            if time["dt_min"] is None:
+                time["dt_min"] = time["dt_init"] * 1e-8
+            self.sim = dynamics.SimConfig(
+                params=self.params, grid=self.grid, weight=self.weight, lam=self.lam, **time
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.lam = lam
-
-        gr = dict(raw["grid"])
-        _check_keys("grid", gr)
-        kind = gr.get("kind")
-        if kind == "tensor":
-            if "extent" not in gr:
-                raise ConfigError("tensor grid needs 'extent'")
-            extent = _number(gr["extent"], "grid.extent")
-            points = _positive_int(gr.get("points"), "grid.points")
-            self.grid = GridSpec.tensor(n, extent, points)
-        elif kind == "radial":
-            if "r_max" not in gr:
-                raise ConfigError("radial grid needs 'r_max'")
-            r_max = _number(gr["r_max"], "grid.r_max")
-            points = _positive_int(gr.get("points"), "grid.points")
-            self.grid = GridSpec.radial(n, r_max, points)
-        else:
-            raise ConfigError("grid.kind must be 'tensor' or 'radial'")
-
-        wt = dict(raw.get("weight", {"delta": "auto"}))
-        _check_keys("weight", wt)
-        delta = wt.get("delta", "auto")
-        if delta == "auto":
-            delta = self.grid.spacing if self.grid.kind == "tensor" else 0.0
-        self.weight = PotentialWeight(b=float(b), delta=_number(delta, "weight.delta"))
-
-        tm = dict(raw["time"])
-        _check_keys("time", tm)
-        for key in ("dt_init", "t_end"):
-            if key not in tm:
-                raise ConfigError(f"time.{key} is required")
-        dt_init = _number(tm["dt_init"], "time.dt_init")
-        self.sim = dynamics.SimConfig(
-            params=self.params,
-            grid=self.grid,
-            weight=self.weight,
-            lam=lam,
-            dt_init=dt_init,
-            t_end=_number(tm["t_end"], "time.t_end"),
-            dt_min=_number(tm.get("dt_min", dt_init * 1e-8), "time.dt_min"),
-            blowup_ratio=_number(tm.get("blowup_ratio", 1e3), "time.blowup_ratio"),
-            safety=_number(tm.get("safety", 0.5), "time.safety"),
-            record_every=_positive_int(tm.get("record_every", 1), "time.record_every"),
-        )
-
-        init = dict(raw["initial"])
-        _check_keys("initial", init)
-        itype = init.get("type")
-        if itype not in ("gaussian", "ground_state_scaled", "file"):
-            raise ConfigError("initial.type must be gaussian, ground_state_scaled, or file")
-        for key in ("amplitude", "width", "scale_c", "epsilon"):
-            if key in init:
-                init[key] = _number(init[key], f"initial.{key}")
-        self.initial = init
-
-        out = dict(raw.get("output", {}))
-        _check_keys("output", out)
-        self.out_dir = Path(out.get("directory", "runs"))
-        dump_fields = out.get("dump_fields", False)
-        if not isinstance(dump_fields, bool):
-            raise ConfigError(f"output.dump_fields must be true or false, got {dump_fields!r}")
-        self.dump_fields = dump_fields
+        self.initial = self._values["initial"]
+        self.out_dir = self._values["output"]["directory"]
+        self.dump_fields = self._values["output"]["dump_fields"]
 
     def canonical(self) -> dict:
-        """Canonical echo: sigma resolved to its exact rational string."""
-        grid = {"kind": self.grid.kind, "points": self.grid.points}
-        if self.grid.kind == "tensor":
-            grid["extent"] = self.grid.extent
-        else:
-            grid["r_max"] = self.grid.r_max
-        initial = {"type": self.initial["type"]}
-        for key in ("amplitude", "width", "scale_c", "epsilon"):
-            if key in self.initial:
-                initial[key] = self.initial[key]
-        if "path" in self.initial:
-            initial["path"] = str(self.initial["path"])
+        """Canonical echo: the parsed config with sigma, delta and dt_min
+        resolved, rationals and the directory as strings, and only the
+        initial-data keys the config gave."""
         return {
-            "params": {
-                "n": self.params.n,
-                "s": str(self.params.s),
-                "b": str(self.params.b),
-                "sigma": str(self.params.sigma_value),
-                "lambda": self.lam,
-            },
-            "grid": grid,
-            "weight": {"delta": self.weight.delta},
-            "time": {
-                "dt_init": self.sim.dt_init,
-                "dt_min": self.sim.dt_min,
-                "t_end": self.sim.t_end,
-                "record_every": self.sim.record_every,
-                "blowup_ratio": self.sim.blowup_ratio,
-                "safety": self.sim.safety,
-            },
-            "initial": initial,
-            "output": {"directory": str(self.out_dir), "dump_fields": self.dump_fields},
+            section: {
+                key: str(value) if isinstance(value, (Fraction, Path)) else value
+                for key, value in values.items()
+                if key in self._given[section] or _SCHEMA[section][key].echo
+            }
+            for section, values in self._values.items()
         }
 
+    def profile(self) -> ground_state.GroundStateProfile:
+        """The bubble W of the config's n, b and initial.epsilon."""
+        return ground_state.GroundStateProfile(
+            n=self.params.n, b=float(self.params.b), epsilon=self.initial["epsilon"]
+        )
+
     def build_initial_field(self) -> Field:
-        itype = self.initial["type"]
-        if itype == "gaussian":
-            return grids.gaussian_field(
-                self.grid,
-                amplitude=self.initial.get("amplitude", 1.0),
-                width=self.initial.get("width", 1.0),
-            )
-        if itype == "ground_state_scaled":
-            profile = ground_state.GroundStateProfile(
-                n=self.params.n,
-                b=float(self.params.b),
-                epsilon=self.initial.get("epsilon", 1.0),
-            )
-            return ground_state.sample_on_grid(
-                profile, self.grid, scale=self.initial.get("scale_c", 1.0)
-            )
-        field, _ = grids.load_field(self.initial["path"])
+        init = self.initial
+        if init["type"] == "gaussian":
+            try:
+                return grids.gaussian_field(self.grid, init["amplitude"], init["width"])
+            except ValueError as exc:
+                raise ConfigError(f"initial.width: {exc}") from exc
+        if init["type"] == "ground_state_scaled":
+            return ground_state.sample_on_grid(self.profile(), self.grid, scale=init["scale_c"])
+        field, _ = grids.load_field(init["path"])
         if field.grid != self.grid:
             raise ConfigError("field dump grid does not match config grid")
         return field
@@ -488,15 +508,10 @@ def cmd_simulate(args) -> int:
 
     blowup_scope = verdicts["blowup_criterion"].holds and config.lam < 0
     if blowup_scope:
-        profile = ground_state.GroundStateProfile(
-            n=config.params.n,
-            b=float(config.params.b),
-            epsilon=config.initial.get("epsilon", 1.0),
-        )
-        gs = ground_state.compute_quantities(profile)
+        gs = ground_state.compute_quantities(config.profile())
         symmetry = "radial" if config.grid.kind == "radial" else "finite_variance"
         if config.initial["type"] == "ground_state_scaled":
-            data = diagnostics.ScaledGroundState(config.initial.get("scale_c", 1.0))
+            data = diagnostics.ScaledGroundState(config.initial["scale_c"])
         else:
             data = u0
         threshold = diagnostics.classify_blowup(data, config.sim, gs, symmetry)
@@ -541,7 +556,7 @@ def cmd_virial_report(args) -> int:
         t = np.array([float(row[idx["t"]]) for row in rows])
         v = np.array([float(row[idx["variance"]]) for row in rows])
         rhs = np.array([float(row[idx["virial_rhs"]]) for row in rows])
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:
         print(f"series has non-numeric or absent cells: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -348,27 +348,25 @@ def hypothesis_report(
     def add(name, ok, values):
         checks.append(Check(name, bool(ok), values))
 
+    def add_b_cap():
+        cap = _b_cap(n, s)
+        add("0 < b < min(2, n-s, 1+(n-2s)/2)", 0 < b < cap, f"b = {fmt(b)}, bound = {fmt(cap)}")
+
+    def add_critical_sigma():
+        target = critical_power(n, s, b) if s < half else INF
+        add("sigma = (4-2b)/(n-2s)", sig == target, f"sigma = {fmt(sig)}, critical = {fmt(target)}")
+
+    def add_even_model_case() -> bool:
+        """The polynomial model case, when sigma is an even integer."""
+        if is_even_integer(sig):
+            add("model case: sigma even integer (polynomial)", True, f"sigma = {fmt(sig)}")
+        return is_even_integer(sig)
+
     if criterion == "critical_lwp":
         add("0 <= s < n/2", 0 <= s < half, f"s = {fmt(s)}, n/2 = {fmt(half)}")
-        cap = _b_cap(n, s)
-        add(
-            "0 < b < min(2, n-s, 1+(n-2s)/2)",
-            0 < b < cap,
-            f"b = {fmt(b)}, bound = {fmt(cap)}",
-        )
-        target = critical_power(n, s, b) if s < half else INF
-        add(
-            "sigma = (4-2b)/(n-2s)",
-            sig == target,
-            f"sigma = {fmt(sig)}, critical = {fmt(target)}",
-        )
-        if is_even_integer(sig):
-            add(
-                "model case: sigma even integer (polynomial)",
-                True,
-                f"sigma = {fmt(sig)}",
-            )
-        else:
+        add_b_cap()
+        add_critical_sigma()
+        if not add_even_model_case():
             floor_req = math.ceil(s) - 1
             add(
                 "model case: sigma > ceil(s)-1",
@@ -378,12 +376,7 @@ def hypothesis_report(
     elif criterion == "subcritical_lwp":
         s_cap = min(Fraction(n), half + 1)
         add("0 <= s < min(n, n/2+1)", 0 <= s < s_cap, f"s = {fmt(s)}, bound = {fmt(s_cap)}")
-        cap = _b_cap(n, s)
-        add(
-            "0 < b < min(2, n-s, 1+(n-2s)/2)",
-            0 < b < cap,
-            f"b = {fmt(b)}, bound = {fmt(cap)}",
-        )
+        add_b_cap()
         target = critical_power(n, s, b) if s >= 0 else INF
         add(
             "0 < sigma < critical power",
@@ -392,18 +385,8 @@ def hypothesis_report(
         )
     elif criterion == "continuous_dependence":
         add("0 < s < n/2", 0 < s < half, f"s = {fmt(s)}, n/2 = {fmt(half)}")
-        cap = _b_cap(n, s)
-        add(
-            "0 < b < min(2, n-s, 1+(n-2s)/2)",
-            0 < b < cap,
-            f"b = {fmt(b)}, bound = {fmt(cap)}",
-        )
-        target = critical_power(n, s, b) if s < half else INF
-        add(
-            "sigma = (4-2b)/(n-2s)",
-            sig == target,
-            f"sigma = {fmt(sig)}, critical = {fmt(target)}",
-        )
+        add_b_cap()
+        add_critical_sigma()
         if polynomial_f:
             ok = sig.denominator == 1 and sig >= 1
             add(
@@ -411,13 +394,7 @@ def hypothesis_report(
                 ok,
                 f"sigma = {fmt(sig)}",
             )
-        elif is_even_integer(sig):
-            add(
-                "model case: sigma even integer (polynomial)",
-                True,
-                f"sigma = {fmt(sig)}",
-            )
-        else:
+        elif not add_even_model_case():
             if s < 1:
                 ok = sig > 1
                 detail = f"0 < s < 1 requires sigma > 1; sigma = {fmt(sig)}"

@@ -405,6 +405,8 @@ def gaussian_field(
     grid: GridSpec, amplitude: float = 1.0, width: float = 1.0, center=None
 ) -> Field:
     """A * exp(-|x - center|^2 / (2 w^2)); center defaults to the origin."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width!r}")
     if grid.kind == "radial":
         if center is not None:
             raise ValueError("radial grids take centered data only")
@@ -453,10 +455,10 @@ def load_field(path):
         header_line = fh.readline()
         payload = fh.read()
     header = json.loads(header_line.decode("utf-8"))
-    if header["kind"] == "tensor":
-        grid = GridSpec.tensor(header["n"], header["extent"], header["points"])
-    else:
-        grid = GridSpec.radial(header["n"], header["r_max"], header["points"])
-    values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
-    field = Field(grid=grid, values=values.copy(), time_tag=header["time_tag"])
-    return field, header
+    try:
+        size = {"tensor": "extent", "radial": "r_max"}[header["kind"]]
+        grid = GridSpec(header["kind"], header["n"], header["points"], **{size: header[size]})
+        values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
+        return Field(grid=grid, values=values.copy(), time_tag=header["time_tag"]), header
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"field dump header lacks or mistypes {exc}") from None

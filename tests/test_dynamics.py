@@ -334,6 +334,34 @@ class TestMatchesOriginalSteppers:
             assert la.norm(state.phi - phi_ref) / la.norm(phi_ref) <= 1e-12
             assert mass(u) == pytest.approx(mass(Field(grid, v)), rel=1e-14, abs=0.0)
 
+    def test_whole_radial_run(self):
+        # run against the oracle driven by the run's own dt sequence: the
+        # oracle refreshes its density and phi from its own field every step
+        grid = GridSpec.radial(3, 16.0, 256)
+        params = CriticalityParams(
+            n=3, s=Fraction(1), b=Fraction(1, 2), sigma=CRITICAL, lambda_sign="focusing"
+        )
+        cfg = SimConfig(
+            params=params,
+            grid=grid,
+            weight=PotentialWeight(b=0.5, delta=0.0),
+            lam=-1.0,
+            dt_init=0.05,
+            t_end=3.0,
+            dt_min=1e-12,
+            safety=0.2,
+        )
+        u0 = gaussian_field(grid, 1.2, 1.0)
+        outcome = run(cfg, u0)
+        assert outcome.termination == "completed"
+        assert outcome.steps >= 100 and len(outcome.series) == outcome.steps + 1
+        dts = [record.dt for record in outcome.series[1:]]
+        v, phi = u0.values.copy(), None
+        for dt in dts:
+            v, phi = _reference_radial_step(v, cfg, dt, phi)
+        assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
+        assert len(set(dts)) > 10  # the step size really adapted
+
     def test_radial_step_leaves_input_unmodified(self, focusing_radial_config):
         cfg = focusing_radial_config
         u = gaussian_field(cfg.grid, 1.5, 1.0)

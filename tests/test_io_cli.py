@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inls import cli
 from inls.cli import (
@@ -89,6 +95,74 @@ class TestConfigHandling:
         radial["params"]["n"] = 3
         radial["grid"] = {"kind": "radial", "r_max": 10.0, "points": 128}
         assert RunConfig(radial).weight.delta == 0.0
+
+
+# Integers stay small so that a mutated grid that validates stays cheap to
+# build (RunConfig evaluates the weight on the grid).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["auto", "tensor", "radial", "file", "1/2", "nan", "1e400"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _valid_configs():
+    tensor = base_config(Path(), output={"dump_fields": True})
+    radial = {
+        "params": {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0},
+        "grid": {"kind": "radial", "r_max": 16.0, "points": 64},
+        "time": {"dt_init": 1e-3, "t_end": 0.01, "blowup_ratio": 50.0, "safety": 0.25},
+        "initial": {"type": "ground_state_scaled", "scale_c": 0.5, "epsilon": 1.0},
+    }
+    return [tensor, radial]
+
+
+@st.composite
+def config_inputs(draw):
+    """Arbitrary JSON, or a valid config with one section or key replaced by
+    arbitrary JSON or deleted."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    raw = json.loads(json.dumps(draw(st.sampled_from(_valid_configs()))))
+    section = draw(st.sampled_from(["params", "grid", "weight", "time", "initial", "output"]))
+    keys = sorted(raw.get(section, {})) + ["extent", "r_max", "path", "dt_min"]
+    key = draw(st.none() | st.sampled_from(keys))
+    target, name = (raw, section) if key is None else (raw.setdefault(section, {}), key)
+    if draw(st.booleans()):
+        target.pop(name, None)
+    else:
+        target[name] = draw(JSON_VALUES)
+    return raw
+
+
+class TestConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=config_inputs())
+    def test_config_is_accepted_or_refused_cleanly(self, raw):
+        try:
+            RunConfig(raw)
+            return
+        except ConfigError:
+            pass
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "config.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            err, out = io.StringIO(), io.StringIO()
+            os.chdir(work)
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                    code = cli.main(["simulate", str(path)])
+            finally:
+                os.chdir(cwd)
+            assert code == EXIT_USAGE
+            assert err.getvalue().startswith("config error:")
+            assert os.listdir(work) == ["config.json"]
 
 
 class TestCheckCommand:
@@ -229,6 +303,16 @@ class TestSimulateCommand:
             ("grid", "extent", "wide"),
             ("grid", "extent", "inf"),
             ("initial", "amplitude", None),  # traceback from the canonical echo
+            ("params", "n", True),  # ran as n = 1
+            ("params", "b", "1e400"),  # OverflowError traceback
+            ("grid", "r_max", 16.0),  # ignored on a tensor grid
+            ("initial", "path", [1]),  # TypeError traceback
+            ("initial", "path", 5),  # opened file descriptor 5
+            ("output", "directory", 5),  # TypeError traceback
+            ("initial", "width", 0.0),  # divide by zero, then exit 4
+            ("initial", "width", -1.0),  # ran as width 1
+            ("initial", "scale_c", 0.0),  # ScaledGroundState traceback after the run
+            ("initial", "scale_c", -0.5),
         ],
     )
     def test_bad_run_numbers_exit_one(self, tmp_path, capsys, section, key, value):
@@ -239,6 +323,56 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("config error:") and f"{section}.{key}" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_energy_critical_scale_refused_before_run(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 24.0, "points": 512}
+        raw["initial"] = {"type": "ground_state_scaled", "scale_c": 0.0}
+        path = write_config(tmp_path, raw)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "initial.scale_c" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"params": 3}, "'params'"),
+            ({"time": [1, 2]}, "'time'"),
+            ({"weight": None}, "'weight'"),
+            ({"output": None}, "'output'"),
+            ({"initial": {"type": "file"}}, "initial.path"),
+            (
+                {
+                    "params": {"n": 3, "s": "1/2", "b": "1/2", "sigma": "auto", "lambda": 0.0},
+                    "grid": {"kind": "radial", "r_max": 16.0, "extent": 16.0, "points": 64},
+                },
+                "grid.extent",
+            ),
+        ],
+    )
+    def test_malformed_sections_exit_one(self, tmp_path, capsys, overrides, named):
+        raw = base_config(tmp_path, **overrides)
+        path = write_config(tmp_path, raw)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_malformed_dump_header_exits_one(self, tmp_path, capsys):
+        dump_path = tmp_path / "bad_header.bin"
+        dump_path.write_bytes(b'{"foo": 1}\n' + bytes(16 * 64 * 64))
+        raw = base_config(tmp_path)
+        raw["initial"] = {"type": "file", "path": str(dump_path)}
+        path = write_config(tmp_path, raw)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "header" in err
         assert not (tmp_path / "runs").exists()
 
     def test_missing_points_exits_one(self, tmp_path, capsys):
@@ -332,6 +466,18 @@ class TestVirialReportCommand:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "3 samples" in err
+
+    def test_short_row(self, tmp_path, capsys):
+        path = tmp_path / "short_row.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "variance", "virial_rhs"])
+            for k in range(4):
+                writer.writerow([str(k * 0.1), "1.0", "2.0"][: 2 if k == 2 else 3])
+        code = cli.main(["virial-report", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "absent cells" in err
 
     def test_missing_columns(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
