@@ -150,6 +150,10 @@ def _scale_factor(value) -> float:
     return diagnostics.ScaledGroundState(_number(value)).c
 
 
+def _epsilon(value) -> float:
+    return ground_state.check_epsilon(_number(value))
+
+
 _REQUIRED = object()
 _REFUSED = object()
 
@@ -198,7 +202,7 @@ _SCHEMA = {
         "amplitude": _Key(_number, 1.0, echo=False),
         "width": _Key(_number, 1.0, echo=False),
         "scale_c": _Key(_scale_factor, 1.0, echo=False),
-        "epsilon": _Key(_number, 1.0, echo=False),
+        "epsilon": _Key(_epsilon, 1.0, echo=False),
         "path": _Key(_text, None, echo=False, when=("type", "file")),
     },
     "output": {
@@ -461,6 +465,9 @@ def cmd_simulate(args) -> int:
         u0 = config.build_initial_field()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"config error: not enough memory for this grid: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     canonical = config.canonical()

@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -218,10 +219,84 @@ def _weight_values_cached(grid: GridSpec, b: float, delta: float) -> np.ndarray:
     return (rsq + delta**2) ** (-0.5 * b)
 
 
-def _integrate(grid: GridSpec, density: np.ndarray) -> float:
+# -- spatial integrals: each is a dot product of |u|^2 (or |u|^p) with a
+# cached table.  Radial tables carry the node weights; tensor tables are plain
+# and the sum takes the scalar cell measure, so tensor grids reuse arrays the
+# run caches anyway (radius_sq_values, weight_values) and add none.
+
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    """|values|^2 formed as re^2 + im^2 (no hypot): the density of every
+    quadratic integral."""
+    return values.real**2 + values.imag**2
+
+
+def _quadrature(grid: GridSpec, table: np.ndarray, density: np.ndarray) -> float:
+    """Integral of table * density.  Tensor sums use einsum, which stays in
+    NumPy (np.dot would hand a 64^3 product to OpenBLAS threads)."""
     if grid.kind == "tensor":
-        return float(np.sum(density) * grid.cell_measure)
-    return float(np.sum(density * radial_node_weights(grid)))
+        return float(np.einsum("i,i->", table.ravel(), density.ravel()) * grid.cell_measure)
+    return float(np.dot(table, density))
+
+
+@lru_cache(maxsize=64)
+def _variance_table(grid: GridSpec) -> np.ndarray:
+    """|x|^2, times the node weights on radial grids."""
+    rsq = radius_sq_values(grid)
+    return rsq if grid.kind == "tensor" else rsq * radial_node_weights(grid)
+
+
+@lru_cache(maxsize=64)
+def _radial_shell_table(grid: GridSpec) -> np.ndarray:
+    """The node weights where r >= 0.9 r_max, 0 elsewhere."""
+    return np.where(radial_nodes(grid) >= 0.9 * grid.r_max, radial_node_weights(grid), 0.0)
+
+
+def _shell_mass(grid: GridSpec, a2: np.ndarray) -> float:
+    """Mass in the outer 10 percent shell: r >= 0.9 r_max on radial grids,
+    |x_i| >= 0.45 L on some axis of tensor grids.  The tensor shell is summed
+    as disjoint slabs (axis k outside the cut, the axes before it inside),
+    views of a2, so no mask is built or kept."""
+    if grid.kind == "radial":
+        return _quadrature(grid, _radial_shell_table(grid), a2)
+    inner = np.flatnonzero(np.abs(_axis(grid)) < 0.45 * grid.extent)
+    core = slice(inner[0], inner[-1] + 1)
+    total = 0.0
+    for axis in range(grid.n):
+        for outer in (slice(0, core.start), slice(core.stop, None)):
+            total += np.sum(a2[(core,) * axis + (outer,)])
+    return float(total * grid.cell_measure)
+
+
+@lru_cache(maxsize=64)
+def _potential_table(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
+    """weight(x), times the node weights on radial grids."""
+    w = weight_values(grid, weight)
+    return w if grid.kind == "tensor" else w * radial_node_weights(grid)
+
+
+def _power_from_sq(a2: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p from a2 = |u|^2.  An integer p from 2 to 8 is built by
+    multiplication (a2^(p//2), times sqrt(a2) for odd p), like ``abs_power``;
+    any other p is a2 ** (p/2)."""
+    if float(p).is_integer() and 2 <= p <= 8:
+        half, odd = divmod(int(p), 2)
+        out = np.sqrt(a2) if odd else a2.copy()
+        for _ in range(half - 1 + odd):
+            out *= a2
+        return out
+    return a2 ** (0.5 * p)
+
+
+def _potential(grid: GridSpec, weight: PotentialWeight, sigma: float, a2: np.ndarray) -> float:
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    return _quadrature(grid, _potential_table(grid, weight), _power_from_sq(a2, sigma + 2.0))
+
+
+def _shell_fraction(grid: GridSpec, a2: np.ndarray, total: float) -> float:
+    if total == 0.0:
+        return 0.0
+    return _shell_mass(grid, a2) / total
 
 
 def mass(u: Field) -> float:
@@ -232,8 +307,37 @@ def mass(u: Field) -> float:
     if grid.kind == "tensor":
         pairs = np.ascontiguousarray(u.values).view(np.float64).ravel()
         return float(np.einsum("i,i->", pairs, pairs) * grid.cell_measure)
-    v = u.values
-    return float(np.dot(radial_node_weights(grid), v.real**2 + v.imag**2))
+    return _quadrature(grid, radial_node_weights(grid), _abs_sq(u.values))
+
+
+class Moments(NamedTuple):
+    """The spatial integrals of one record, from one |u|^2."""
+
+    mass: float
+    variance: float
+    boundary_mass_fraction: float
+    weighted_potential: float
+    max_amp: float
+
+
+def moments(u: Field, weight: PotentialWeight, sigma: float) -> Moments:
+    """mass, variance, boundary_mass_fraction, weighted_potential_integral
+    and max |u| of ``u`` in one pass: |u|^2 is formed once and each integral
+    is a dot product against a cached table (the tensor shell: slab sums).
+    Each value equals the single-quantity function's bit for bit."""
+    grid = u.grid
+    a2 = _abs_sq(u.values)
+    if grid.kind == "tensor":
+        total = mass(u)
+    else:
+        total = _quadrature(grid, radial_node_weights(grid), a2)
+    return Moments(
+        mass=total,
+        variance=_quadrature(grid, _variance_table(grid), a2),
+        boundary_mass_fraction=_shell_fraction(grid, a2, total),
+        weighted_potential=_potential(grid, weight, sigma, a2),
+        max_amp=math.sqrt(a2.max()),
+    )
 
 
 @lru_cache(maxsize=64)
@@ -329,22 +433,21 @@ def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarra
 
 def weighted_potential_integral(u: Field, weight: PotentialWeight, sigma: float) -> float:
     """Integral of weight(x) |u|^(sigma+2)."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    w = weight_values(u.grid, weight)
-    return _integrate(u.grid, w * abs_power(u.values, sigma + 2.0))
+    return _potential(u.grid, weight, sigma, _abs_sq(u.values))
 
 
 def variance(u: Field) -> float:
     """Integral of |x|^2 |u|^2."""
-    return _integrate(u.grid, radius_sq_values(u.grid) * np.abs(u.values) ** 2)
+    return _quadrature(u.grid, _variance_table(u.grid), _abs_sq(u.values))
 
 
 def weighted_quadratic(u: Field, a) -> float:
     """Integral of a(x) |u|^2 for a callable a(*coords) evaluated on nodes."""
-    coords = mesh(u.grid)
-    values = np.asarray(a(*coords), dtype=float)
-    return _integrate(u.grid, np.broadcast_to(values, u.grid.shape) * np.abs(u.values) ** 2)
+    grid = u.grid
+    table = np.broadcast_to(np.asarray(a(*mesh(grid)), dtype=float), grid.shape)
+    if grid.kind == "radial":
+        table = table * radial_node_weights(grid)
+    return _quadrature(grid, table, _abs_sq(u.values))
 
 
 def laplacian_apply(u: Field) -> Field:
@@ -382,23 +485,9 @@ def radial_laplacian_bands(grid: GridSpec):
 
 def boundary_mass_fraction(u: Field) -> float:
     """Mass fraction in the outer 10 percent shell, the concentration
-    monitor emitted alongside variance on periodic boxes."""
-    grid = u.grid
-    density = np.abs(u.values) ** 2
-    total = _integrate(grid, density)
-    if total == 0.0:
-        return 0.0
-    if grid.kind == "tensor":
-        coords = mesh(grid)
-        cut = 0.45 * grid.extent
-        shell = np.zeros(grid.shape, dtype=bool)
-        for c in coords:
-            shell |= np.abs(c) >= cut
-        outer = float(np.sum(density[shell]) * grid.cell_measure)
-    else:
-        shell = radial_nodes(grid) >= 0.9 * grid.r_max
-        outer = float(np.sum((density * radial_node_weights(grid))[shell]))
-    return outer / total
+    monitor emitted alongside variance on periodic boxes; 0 for a zero
+    field."""
+    return _shell_fraction(u.grid, _abs_sq(u.values), mass(u))
 
 
 def gaussian_field(

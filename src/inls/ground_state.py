@@ -26,6 +26,13 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def check_epsilon(epsilon: float) -> float:
+    """The bubble's concentration parameter eps, which must be positive."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class GroundStateProfile:
     """Parameters (n, b, eps) of the explicit bubble; sigma1 is derived."""
@@ -39,8 +46,7 @@ class GroundStateProfile:
             raise ValueError("ground state requires integer dimension n >= 3")
         if not 0.0 <= self.b < 2.0:
             raise ValueError("decay exponent b must lie in [0, 2)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(self.epsilon)
 
     @property
     def sigma1(self) -> float:

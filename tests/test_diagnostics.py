@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 
 from inls.diagnostics import (
     CSV_COLUMNS,
+    DiagnosticsRecord,
     ScaledGroundState,
     classify_blowup,
     cylindrical_phi_R,
@@ -28,10 +30,16 @@ from inls.grids import (
     Field,
     GridSpec,
     PotentialWeight,
+    boundary_mass_fraction,
     gaussian_field,
     hs_norm,
     mass,
+    mesh,
+    radial_node_weights,
+    radial_nodes,
+    radius_sq_values,
     variance,
+    weight_values,
     weighted_potential_integral,
 )
 from inls.ground_state import GroundStateProfile, compute_quantities
@@ -258,7 +266,142 @@ class TestClassifier:
         assert root == pytest.approx(c_star, rel=1e-12)
 
 
+def _old_record_fields(u, cfg, h1sq):
+    """The per-quantity formulas ``make_record`` used before the one-pass
+    record: |u| by hypot and one density array per integral."""
+    grid = u.grid
+
+    def integrate(density):
+        if grid.kind == "tensor":
+            return float(np.sum(density) * grid.cell_measure)
+        return float(np.sum(density * radial_node_weights(grid)))
+
+    v = u.values
+    density = np.abs(v) ** 2
+    pot = integrate(weight_values(grid, cfg.weight) * np.abs(v) ** (cfg.sigma + 2.0))
+    if grid.kind == "tensor":
+        shell = np.zeros(grid.shape, dtype=bool)
+        for c in mesh(grid):
+            shell |= np.abs(c) >= 0.45 * grid.extent
+        outer = float(np.sum(density[shell]) * grid.cell_measure)
+    else:
+        shell = radial_nodes(grid) >= 0.9 * grid.r_max
+        outer = float(np.sum((density * radial_node_weights(grid))[shell]))
+    total = integrate(density)
+    n, sig, b = grid.n, cfg.sigma, float(cfg.params.b)
+    return {
+        "mass": float(np.dot(radial_node_weights(grid), v.real**2 + v.imag**2))
+        if grid.kind == "radial"
+        else total,
+        "energy": 0.5 * h1sq + cfg.lam / (sig + 2.0) * pot,
+        "weighted_potential": pot,
+        "variance": integrate(radius_sq_values(grid) * density),
+        "virial_rhs": 8.0 * h1sq + 4.0 * cfg.lam * (n * sig + 2.0 * b) / (sig + 2.0) * pot,
+        "boundary_mass_fraction": 0.0 if total == 0.0 else outer / total,
+        "max_amp": float(np.max(np.abs(v))),
+    }
+
+
+def _record_config(kind, n, sigma):
+    if kind == "radial":
+        grid, delta = GridSpec.radial(n, 10.0, 256), 0.0
+    else:
+        grid = GridSpec.tensor(n, 12.0, 32)
+        delta = grid.spacing
+    params = CriticalityParams(
+        n=n, s=Fraction(1, 2), b=Fraction(1, 2), sigma=sigma, lambda_sign="focusing"
+    )
+    return SimConfig(
+        params=params,
+        grid=grid,
+        weight=PotentialWeight(b=0.5, delta=delta),
+        lam=-1.0,
+        dt_init=1e-3,
+        t_end=0.1,
+        dt_min=1e-12,
+    )
+
+
+def _record_field(grid):
+    """A wide, phase-twisted, noisy Gaussian with mass in the outer shell."""
+    rng = np.random.default_rng(grid.n)
+    width = 0.5 * grid.r_max if grid.kind == "radial" else 0.3 * grid.extent
+    u = gaussian_field(grid, 1.7, width)
+    noise = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    rsq = radius_sq_values(grid)
+    return Field(grid, u.values * np.exp(0.3j * rsq) * (1.0 + 0.05 * noise))
+
+
+_RECORD_CASES = [
+    (kind, n, sigma)
+    for kind, dims in (("radial", (3, 4, 5)), ("tensor", (1, 2, 3)))
+    for n in dims
+    for sigma in (Fraction(2), Fraction(3), Fraction(4, 3))  # even, odd, ** path
+]
+
+
 class TestRecords:
+    @pytest.mark.parametrize("kind, n, sigma", _RECORD_CASES)
+    def test_one_pass_matches_old_formulas(self, kind, n, sigma):
+        cfg = _record_config(kind, n, sigma)
+        u = _record_field(cfg.grid)
+        record = make_record(u, cfg, dt=1e-3)
+        assert record.h1dot_sq == hs_norm(u, 1) ** 2
+        old = _old_record_fields(u, cfg, record.h1dot_sq)
+        assert 0.01 < old["boundary_mass_fraction"] < 0.9
+        for name, expected in old.items():
+            assert abs(getattr(record, name) - expected) <= 1e-14 * abs(expected), name
+
+    @pytest.mark.parametrize("kind, n, sigma", _RECORD_CASES)
+    def test_single_quantities_equal_record(self, kind, n, sigma):
+        cfg = _record_config(kind, n, sigma)
+        u = _record_field(cfg.grid)
+        record = make_record(u, cfg, dt=1e-3)
+        assert record.mass == mass(u)
+        assert record.variance == variance(u)
+        assert record.boundary_mass_fraction == boundary_mass_fraction(u)
+        assert record.weighted_potential == weighted_potential_integral(u, cfg.weight, cfg.sigma)
+        assert record.energy == energy(u, cfg)
+        assert record.virial_rhs == virial_rhs(u, cfg)
+
+    @pytest.mark.parametrize("kind, n", [("radial", 3), ("tensor", 2)])
+    def test_zero_field(self, kind, n):
+        cfg = _record_config(kind, n, Fraction(2))
+        u = Field(cfg.grid, np.zeros(cfg.grid.shape))
+        record = make_record(u, cfg, dt=1e-3)
+        assert record.boundary_mass_fraction == 0.0 and record.max_amp == 0.0
+        assert record.mass == record.variance == record.weighted_potential == 0.0
+        assert record.energy == record.virial_rhs == 0.0
+
+    def test_peak_memory_not_above_old_formulas(self):
+        cfg = _record_config("tensor", 3, Fraction(2))
+        u = _record_field(cfg.grid)
+        h1sq = hs_norm(u, 1) ** 2
+        peaks = []
+        for compute in (
+            lambda: _old_record_fields(u, cfg, h1sq),
+            lambda: make_record(u, cfg, 1e-3, h1sq),
+        ):
+            compute()  # warm every cache first
+            tracemalloc.start()
+            compute()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        old_peak, new_peak = peaks
+        assert new_peak <= old_peak
+
+    def test_csv_row_cells(self):
+        values = dict(
+            t=0.1, mass=1.0 / 3.0, energy=-2.5e-300, h1dot_sq=float("inf"),
+            weighted_potential=-0.0, variance=None, virial_rhs=7.0, localized_virial=None,
+            boundary_mass_fraction=0.0, dt=1e-3, max_amp=float("nan"),
+        )
+        row = DiagnosticsRecord(**values).csv_row()
+        # the per-cell closure csv_row used before one attrgetter read the cells
+        expected = ["" if values[name] is None else f"{values[name]:.17g}" for name in CSV_COLUMNS]
+        assert row == expected
+        assert row[:2] == ["0.10000000000000001", "0.33333333333333331"]
+
     def test_record_energy_identity(self, defocusing_2d_config):
         u = gaussian_field(defocusing_2d_config.grid, 1.0, 1.0)
         record = make_record(u, defocusing_2d_config, dt=1e-3)

@@ -546,6 +546,27 @@ def test_adapt_dt_reads_cfg_second_once_per_step(kind, monkeypatch):
     assert all(args[1] is cfg for args in calls)
 
 
+@pytest.mark.parametrize("kind", ["tensor", "radial"])
+def test_run_looks_up_make_record_once_per_record(kind, monkeypatch):
+    # the benchmark tracer's diagnostics.make_record span wraps the module
+    # attribute, so run must read it there at call time
+    from inls import diagnostics
+
+    base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config()
+    cfg = replace(base, lam=0.0, t_end=20 * base.dt_init, record_every=1)
+    calls = []
+    original = diagnostics.make_record
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "make_record", counting)
+    outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+    assert outcome.termination == "completed" and outcome.steps == 20
+    assert len(calls) == len(outcome.series) == 21
+
+
 # -- the blow-up check is skipped where the grid bound proves it cannot fire --
 
 def _every_step_check_run(cfg, u0):

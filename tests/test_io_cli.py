@@ -313,6 +313,8 @@ class TestSimulateCommand:
             ("initial", "width", -1.0),  # ran as width 1
             ("initial", "scale_c", 0.0),  # ScaledGroundState traceback after the run
             ("initial", "scale_c", -0.5),
+            ("initial", "epsilon", 0.0),  # a traceback after blow-up-scope runs
+            ("initial", "epsilon", -1.0),
         ],
     )
     def test_bad_run_numbers_exit_one(self, tmp_path, capsys, section, key, value):
@@ -323,6 +325,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("config error:") and f"{section}.{key}" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("builder", ["_weight_values_cached", "gaussian_field"])
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, builder):
+        # stands in for numpy's _ArrayMemoryError on an oversized grid (e.g.
+        # points 4096 in 3-d); nothing is really allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 512. GiB")
+
+        monkeypatch.setattr(cli.grids, builder, exhausted)
+        path = write_config(tmp_path, base_config(tmp_path))
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "512. GiB" in err
         assert not (tmp_path / "runs").exists()
 
     def test_energy_critical_scale_refused_before_run(self, tmp_path, capsys):
