@@ -461,6 +461,7 @@ def write_series_csv(path, records):
 
 def cmd_simulate(args) -> int:
     try:
+        grids.thread_count()  # a bad INLS_THREADS stops the run before it starts
         config = load_config(args.config)
         u0 = config.build_initial_field()
     except (ConfigError, ValueError, OSError) as exc:

@@ -87,7 +87,7 @@ def virial_rhs(u: Field, cfg: SimConfig) -> float:
 def _virial_rhs_from(h1sq: float, pot: float, cfg: SimConfig) -> float:
     n = cfg.grid.n
     sig = cfg.sigma
-    b = float(cfg.params.b)
+    b = cfg.params.b_float
     return 8.0 * h1sq + 4.0 * cfg.lam * (n * sig + 2.0 * b) / (sig + 2.0) * pot
 
 

@@ -93,7 +93,7 @@ class SimConfig:
 
     @property
     def sigma(self) -> float:
-        return float(self.params.sigma_value)
+        return self.params.sigma_float
 
 
 @dataclass
@@ -289,7 +289,7 @@ def adapt_dt(state: StepState, cfg: SimConfig) -> float:
     of ``state``."""
     if cfg.lam == 0.0:
         return cfg.dt_init
-    rate = abs(cfg.lam) * float(np.max(state.density))
+    rate = abs(cfg.lam) * float(state.density.max())
     if rate <= 0.0:
         return cfg.dt_init
     dt = min(cfg.dt_init, cfg.safety / rate)
@@ -302,8 +302,9 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     Early terminations: ``blowup_detected`` when the H1 seminorm grows by
     ``blowup_ratio``; ``dt_underflow`` when the adaptive step pins at dt_min
     for 10 consecutive steps; ``non_finite`` on NaN/Inf, read from the live
-    mass of each step and confirmed by an exact scan only when it is not
-    finite.
+    mass of each step (on a record step, the record's mass) and confirmed by
+    an exact scan only when it is not finite.  A non-finite step appends no
+    record.
 
     The blow-up check is exact, and it runs on every step that writes a
     record.  On other steps it is skipped when the grid bound
@@ -350,9 +351,17 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         except FloatingPointError:
             termination = "non_finite"
             break
+        # a record step takes the live mass from its record, whose mass is
+        # grids.mass(u) bit for bit; a non-finite step keeps no record
+        record = (steps + 1) % cfg.record_every == 0
+        if record:
+            h1 = hs_norm(u, 1)
+            rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1)
+            m = rec.mass
+        else:
+            m = mass(u)
         # a finite sum of squares has only finite terms, so only a NaN or
         # overflowed mass (a huge finite entry overflows it) needs the scan
-        m = mass(u)
         if not math.isfinite(m) and not np.all(np.isfinite(u.values.view(np.float64))):
             termination = "non_finite"
             break
@@ -360,12 +369,13 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         u.time_tag = t  # the steppers' own sum, except after a final step
         steps += 1
         dt_prev = dt
-        record = steps % cfg.record_every == 0
-        if not record and (h1_0 == 0.0 or rho * m < undetectable):
-            continue
-        h1 = hs_norm(u, 1)
         if record:
-            records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
+            rec.t = t  # made while u carried the steppers' sum
+            records.append(rec)
+        elif h1_0 == 0.0 or rho * m < undetectable:
+            continue
+        else:
+            h1 = hs_norm(u, 1)
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
             termination = "blowup_detected"
             if not record:

@@ -159,6 +159,16 @@ class CriticalityParams:
             return critical_power(self.n, self.s, self.b)  # finite: s < n/2
         return self.sigma
 
+    @cached_property
+    def sigma_float(self) -> float:
+        """``sigma_value`` as a float, converted once per instance."""
+        return float(self.sigma_value)
+
+    @cached_property
+    def b_float(self) -> float:
+        """``b`` as a float, converted once per instance."""
+        return float(self.b)
+
 
 @dataclass(frozen=True)
 class AdmissiblePair:

@@ -30,11 +30,19 @@ THREADS_ENV = "INLS_THREADS"
 
 
 def thread_count() -> int:
-    """Worker count for internal parallelism (FFT); INLS_THREADS overrides."""
+    """Worker count for internal parallelism (FFT): INLS_THREADS when set and
+    non-empty, else the CPU count.  Raises ValueError unless INLS_THREADS is
+    a positive integer."""
     value = os.environ.get(THREADS_ENV)
-    if value:
-        return max(1, int(value))
-    return os.cpu_count() or 1
+    if not value:
+        return os.cpu_count() or 1
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
+    return count
 
 
 def _fftn(a):
@@ -70,6 +78,14 @@ class GridSpec:
                 raise ValueError("radial grids require n >= 3")
             if not 0 < self.r_max < math.inf:
                 raise ValueError("radial grid needs a positive, finite r_max")
+        # every per-grid table is an lru_cache keyed on the grid, so the hash
+        # is taken once; the kind enters as a bool, whose hash (unlike a
+        # str's) is the same in every process, so a pickled grid keeps it
+        key = (self.kind == "tensor", self.n, self.points, self.extent, self.r_max)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def tensor(cls, n: int, extent: float, points: int) -> "GridSpec":
@@ -134,6 +150,10 @@ class PotentialWeight:
             raise ValueError("weight exponent b must be >= 0")
         if not 0 <= self.delta < math.inf:
             raise ValueError("regularization delta must be finite and >= 0")
+        object.__setattr__(self, "_hash", hash((self.b, self.delta)))  # as GridSpec
+
+    def __hash__(self):
+        return self._hash
 
 
 @lru_cache(maxsize=64)

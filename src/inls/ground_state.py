@@ -21,8 +21,10 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet its tolerance."""
 
 
+@lru_cache(maxsize=16)
 def sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere in n dimensions."""
+    """Surface measure of the unit sphere in n dimensions (cached: the radial
+    H1 seminorm reads it on every call)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 

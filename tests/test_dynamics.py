@@ -722,23 +722,93 @@ _BAD_ENTRIES = {
 class TestLiveMassFiniteness:
     """A non-finite entry ends the run on the step that made it, as the
     exact per-step scan did; a huge finite entry, which overflows the mass,
-    is not mistaken for one and ends the run as it did before."""
+    is not mistaken for one and ends the run as it did before.  The bad
+    entry lands on the 5th step: with ``record_every`` 3 a step that writes
+    no record, with 5 and 1 a record step, whose mass comes from its record.
+    """
+
+    @staticmethod
+    def _assert_outcome(outcome, entry, record_every):
+        # the huge entry overflows the H1 seminorm: detected on its own step,
+        # which appends a record; a non-finite step appends none
+        if entry == "huge":
+            assert (outcome.termination, outcome.steps) == ("blowup_detected", 5)
+            assert len(outcome.series) == 2 + 4 // record_every
+            assert outcome.series[-1].t == outcome.t_final
+        else:
+            assert (outcome.termination, outcome.steps) == ("non_finite", 4)
+            assert len(outcome.series) == 1 + 4 // record_every
+            assert all(math.isfinite(r.mass) for r in outcome.series)
+            assert outcome.series[-1].t <= outcome.t_final
+            if record_every == 1:
+                assert outcome.series[-1].t == outcome.t_final
+
+    def _radial(self, entry, record_every, monkeypatch):
+        cfg = _blowup_radial_config(t_end=0.02, blowup_ratio=1e3, record_every=record_every)
+        _inject_after_call(monkeypatch, "radial_cn_step", 5, _BAD_ENTRIES[entry])
+        outcome = run(cfg, gaussian_field(cfg.grid, 0.5, 1.0))
+        self._assert_outcome(outcome, entry, record_every)
+
+    def _tensor(self, entry, record_every, monkeypatch):
+        cfg = replace(_focusing_3d_config(), t_end=0.01, record_every=record_every)
+        _inject_after_call(monkeypatch, "strang_step", 5, _BAD_ENTRIES[entry])
+        outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+        # the spectral H1 seminorm overflows to inf, as on the radial grid
+        self._assert_outcome(outcome, entry, record_every)
 
     @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
     def test_radial(self, entry, monkeypatch):
-        cfg = _blowup_radial_config(t_end=0.02, blowup_ratio=1e3, record_every=3)
-        _inject_after_call(monkeypatch, "radial_cn_step", 5, _BAD_ENTRIES[entry])
-        outcome = run(cfg, gaussian_field(cfg.grid, 0.5, 1.0))
-        # the huge entry overflows the H1 seminorm: detected on its own step
-        expected = ("blowup_detected", 5) if entry == "huge" else ("non_finite", 4)
-        assert (outcome.termination, outcome.steps) == expected
+        self._radial(entry, 3, monkeypatch)
 
     @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
     def test_tensor(self, entry, monkeypatch):
-        cfg = replace(_focusing_3d_config(), t_end=0.01, record_every=3)
-        _inject_after_call(monkeypatch, "strang_step", 5, _BAD_ENTRIES[entry])
-        outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
-        # the huge entry overflows the spectral H1 seminorm to inf: detected
-        # on its own step, as on the radial grid
-        expected = ("blowup_detected", 5) if entry == "huge" else ("non_finite", 4)
-        assert (outcome.termination, outcome.steps) == expected
+        self._tensor(entry, 3, monkeypatch)
+
+    @pytest.mark.parametrize("record_every", [5, 1])
+    @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+    def test_radial_on_a_record_step(self, entry, record_every, monkeypatch):
+        self._radial(entry, record_every, monkeypatch)
+
+    @pytest.mark.parametrize("record_every", [5, 1])
+    @pytest.mark.parametrize("entry", sorted(_BAD_ENTRIES))
+    def test_tensor_on_a_record_step(self, entry, record_every, monkeypatch):
+        self._tensor(entry, record_every, monkeypatch)
+
+
+# -- per-run constants are resolved once, per-step quantities taken once ----
+
+@pytest.mark.parametrize("kind", ["tensor", "radial"])
+def test_fractions_are_converted_once_per_run(kind, monkeypatch):
+    conversions = []
+    original = Fraction.__float__
+
+    def counting(self):
+        conversions.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting)
+    counts = []
+    for steps in (10, 50):
+        # each config holds a new CriticalityParams, none of whose floats is
+        # converted yet
+        base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config()
+        cfg = replace(base, t_end=steps * base.dt_init, blowup_ratio=1e3, record_every=1)
+        u0 = gaussian_field(cfg.grid, 0.5, 1.0)
+        del conversions[:]
+        outcome = run(cfg, u0)
+        assert outcome.termination == "completed" and outcome.steps == steps
+        counts.append(len(conversions))
+    assert counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("kind", ["tensor", "radial"])
+def test_run_takes_mass_only_on_steps_without_a_record(kind, record_every, monkeypatch):
+    base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config()
+    cfg = replace(base, t_end=20 * base.dt_init, blowup_ratio=1e3, record_every=record_every)
+    masses = _spy(monkeypatch, "mass")
+    outcome = run(cfg, gaussian_field(cfg.grid, 0.5, 1.0))
+    assert outcome.termination == "completed" and outcome.steps == 20
+    assert len(masses) == 20 - 20 // record_every
+    # a record step's live mass is its record's, grids.mass bit for bit
+    assert outcome.series[-1].mass == mass(outcome.final_field)

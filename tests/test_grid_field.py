@@ -1,4 +1,10 @@
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import inls
 from inls.grids import (
     Field,
     GridSpec,
@@ -58,6 +65,51 @@ class TestGridSpec:
         grid = GridSpec.tensor(2, 10.0, 16)
         with pytest.raises(ValueError):
             Field(grid, np.zeros(16, dtype=complex))
+
+
+class TestValueHashes:
+    """GridSpec and PotentialWeight key every lru_cache table and take their
+    hash once, at construction, from fields whose hash is not salted."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(GridSpec.radial(3, 32.0, 2048), GridSpec("radial", 3, 2048, r_max=32)),
+         (GridSpec.tensor(2, 10.0, 16), GridSpec.tensor(2, 10.0, 16)),
+         (PotentialWeight(b=0.5, delta=0.25), PotentialWeight(b=0.5, delta=0.25))],
+        ids=["radial", "tensor", "weight"],
+    )
+    def test_equal_values_hash_equal(self, a, b):
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "value, change",
+        [(GridSpec.radial(3, 32.0, 2048), {"points": 1024}),
+         (GridSpec.tensor(3, 16.0, 64), {"extent": 12.0}),
+         (PotentialWeight(b=0.5, delta=0.25), {"delta": 0.5})],
+        ids=["radial", "tensor", "weight"],
+    )
+    def test_replace_and_pickle_keep_hash_and_eq(self, value, change):
+        changed = dataclasses.replace(value, **change)
+        assert changed != value and hash(changed) != hash(value)
+        back = dataclasses.replace(changed, **{k: getattr(value, k) for k in change})
+        assert back == value and hash(back) == hash(value)
+        copied = pickle.loads(pickle.dumps(value))
+        assert copied == value and hash(copied) == hash(value)
+        assert {value: 1}[copied] == 1
+
+    def test_hash_is_the_same_in_every_process(self):
+        src = str(Path(inls.__file__).resolve().parent.parent)
+        code = "from inls.grids import GridSpec; print(hash(GridSpec.radial(3, 32.0, 2048)))"
+        hashes = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            hashes.add(int(out.stdout))
+        assert hashes == {hash(GridSpec.radial(3, 32.0, 2048))}
 
 
 class TestMass:

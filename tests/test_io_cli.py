@@ -342,6 +342,28 @@ class TestSimulateCommand:
         assert err.startswith("config error:") and "512. GiB" in err
         assert not (tmp_path / "runs").exists()
 
+    # "abc" and "1.5" gave a ValueError traceback at the first FFT, after the
+    # run directory existed; "0" and "-3" were silently taken as 1
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("INLS_THREADS", value)
+        path = write_config(tmp_path, base_config(tmp_path))
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == (
+            f"config error: INLS_THREADS must be a positive integer, got {value!r}\n"
+        )
+        assert not (tmp_path / "runs").exists()
+
+    def test_thread_count_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("INLS_THREADS", "2")
+        assert cli.grids.thread_count() == 2
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert cli.main(["simulate", str(path)]) == EXIT_OK
+        run_dir = next((tmp_path / "runs").iterdir())
+        assert (run_dir / "report.json").exists()
+
     def test_energy_critical_scale_refused_before_run(self, tmp_path, capsys):
         raw = base_config(tmp_path)
         raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
