@@ -69,20 +69,6 @@ class TestStrangStep:
         with pytest.raises(ValueError):
             strang_step(u, focusing_radial_config, 1e-3)
 
-    def test_dealias_mask_removes_top_third(self, free_2d_config):
-        cfg = replace(free_2d_config, dealias=True)
-        grid = cfg.grid
-        xs = mesh(grid)
-        k_hi = grid.points // 2 - 1  # top-third integer mode
-        xi = 2 * math.pi * k_hi / grid.extent
-        u = Field(grid, np.exp(1j * xi * xs[0]))
-        stepped = strang_step(u, cfg, 1e-3)[0]
-        assert np.max(np.abs(stepped.values)) < 1e-12
-        # low modes survive untouched
-        low = Field(grid, np.exp(1j * 2 * math.pi * 3 / grid.extent * xs[0]))
-        kept = strang_step(low, cfg, 1e-3)[0]
-        assert mass(kept) == pytest.approx(mass(low), rel=1e-12)
-
     def test_self_convergence_order(self, defocusing_2d_config):
         def final(dt):
             u = gaussian_field(defocusing_2d_config.grid, 1.0, 1.0)
@@ -93,6 +79,81 @@ class TestStrangStep:
         coarse, mid, fine = final(4e-3), final(2e-3), final(1e-3)
         order = math.log2(la.norm(coarse - mid) / la.norm(mid - fine))
         assert 1.8 <= order <= 2.2
+
+
+class TestUnitPhase:
+    """``_unit_phase`` builds exp(i theta) from tan(theta/2); cos + i sin is
+    the oracle."""
+
+    @pytest.mark.parametrize("bound", [1e-6, 0.5, 3.2, 1e4])
+    def test_matches_cos_and_sin(self, bound):
+        theta = np.random.default_rng(7).uniform(-bound, bound, 100_000)
+        half = 0.5 * theta
+        factor = dynamics._unit_phase(half)
+        assert not np.array_equal(half, 0.5 * theta)  # consumed as scratch
+        assert np.max(np.abs(factor.real - np.cos(theta))) <= 1e-15
+        assert np.max(np.abs(factor.imag - np.sin(theta))) <= 1e-15
+        assert np.max(np.abs(np.abs(factor) ** 2 - 1.0)) <= 2e-15
+
+    def test_modulus_error_as_small_as_cos_and_sin(self):
+        # the rms of |e|^2 - 1 drives the mass random walk of a long run;
+        # cos = 2/(1 + t^2) - 1 would quadruple it
+        theta = np.random.default_rng(11).uniform(-0.5, 0.5, 100_000)
+        factor = dynamics._unit_phase(0.5 * theta)
+
+        def rms(re, im):
+            return np.sqrt(np.mean((re * re + im * im - 1.0) ** 2))
+
+        assert rms(factor.real, factor.imag) <= 1.25 * rms(np.cos(theta), np.sin(theta))
+
+    def test_exact_at_zero_and_pi(self):
+        theta = np.array([0.0, math.pi, -math.pi])
+        factor = dynamics._unit_phase(0.5 * theta)
+        assert np.array_equal(factor.real, [1.0, -1.0, -1.0])
+        assert np.array_equal(factor.imag, np.sin(theta))
+
+    def test_non_finite_angle_gives_nan(self):
+        with np.errstate(invalid="ignore"):
+            factor = dynamics._unit_phase(np.array([math.nan, math.inf, -math.inf]))
+        assert np.all(np.isnan(factor.real)) and np.all(np.isnan(factor.imag))
+
+    def test_callers_fold_the_halving_bit_for_bit(self):
+        # -0.25 dt lam and -0.5 dt are exact halves of the full multipliers
+        cfg = _focusing_3d_config()
+        dt = 7e-4
+        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        halved = 0.5 * (density * (-0.5 * dt * cfg.lam))
+        assert np.array_equal(dynamics._half_phase(density, cfg, dt), dynamics._unit_phase(halved))
+        dynamics._kinetic_propagator.cache_clear()
+        halved = 0.5 * (-dt * wavenumber_sq_values(cfg.grid))
+        assert np.array_equal(
+            dynamics._kinetic_propagator(cfg.grid, dt), dynamics._unit_phase(halved)
+        )
+
+    def test_half_phase_allocates_only_its_output(self):
+        cfg = _focusing_3d_config()  # 32^3
+        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        angle = np.empty(cfg.grid.shape)
+        tracemalloc.start()
+        try:
+            factor = dynamics._half_phase(density, cfg, 1e-3, angle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= factor.nbytes + 4096  # bytes: no full-size temporary
+
+    def test_long_run_mass_drift(self):
+        # 3,000 focusing steps at 16^3 with dt switching every 7 steps, so
+        # both the carried and the rebuilt factors and propagators are used
+        cfg = replace(_focusing_3d_config(), grid=GridSpec.tensor(3, 12.0, 16))
+        u = gaussian_field(cfg.grid, 1.0, 2.0)  # reads 2.4e-13 with cos + i sin
+        m0 = mass(u)
+        state = None
+        drift = 0.0
+        for k in range(3000):
+            u, state = strang_step(u, cfg, 1e-3 if (k // 7) % 2 else 7e-4, state)
+            drift = max(drift, abs(mass(u) - m0) / m0)
+        assert drift <= 5e-13
 
 
 class TestRadialStep:
@@ -252,6 +313,15 @@ class TestSimConfigValidation:
     def test_run_numbers_finite(self, free_2d_config, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             replace(free_2d_config, **{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, 0, -1])
+    def test_record_every_refused(self, free_2d_config, value):
+        # as the CLI schema: not truncated, not read as 1
+        with pytest.raises(ValueError, match="record_every must be a positive integer"):
+            replace(free_2d_config, record_every=value)
+
+    def test_record_every_accepted(self, free_2d_config):
+        assert replace(free_2d_config, record_every=3).record_every == 3
 
 
 # -- oracles: the steppers as first written, before per-run constants were
