@@ -42,7 +42,6 @@ from .grids import (
     dump_field,
     gaussian_field,
     hs_norm,
-    laplacian_apply,
     load_field,
     mass,
     variance,

@@ -4,7 +4,8 @@ threshold function, and the blow-up classifier.
 A record's columns come from one pass over the field (``grids.moments``):
 |u|^2 is formed once as re^2 + im^2 and mass, variance, the outer-shell mass
 and the weighted potential are dot products of it (or of |u|^(sigma+2)
-built from it) against cached weight tables; max_amp is sqrt(max |u|^2).
+built from it) against cached weight tables (the tensor variance: sums of
+its axis marginals); max_amp is sqrt(max |u|^2).
 ``energy``, ``virial_rhs`` and the single-quantity integrals in ``grids``
 use the same formulas, so they equal a record's fields exactly.  Against
 the earlier per-quantity formulas (|u| by hypot, a separate array per

@@ -140,7 +140,9 @@ def _unit_phase(half: np.ndarray) -> np.ndarray:
 def _kinetic_propagator(grid: GridSpec, dt: float) -> np.ndarray:
     """exp(-i dt |xi|^2), the exact free flight over dt; cached for the last
     dt, which is the next one in most runs."""
-    prop = _unit_phase(-0.5 * dt * wavenumber_sq_values(grid))
+    half = wavenumber_sq_values(grid)
+    half *= -0.5 * dt
+    prop = _unit_phase(half)
     prop.flags.writeable = False  # shared by every caller with this dt
     return prop
 
@@ -336,7 +338,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     t = 0.0
     steps = 0
     pinned = 0
-    dt_prev = cfg.dt_init
     step = strang_step if cfg.grid.kind == "tensor" else radial_cn_step
     state = start_state(u, cfg)
     termination = "completed"
@@ -379,7 +380,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         t = cfg.t_end if final else t + dt_step
         u.time_tag = t  # the steppers' own sum, except after a final step
         steps += 1
-        dt_prev = dt
         if record:
             rec.t = t  # made while u carried the steppers' sum
             records.append(rec)
@@ -393,8 +393,10 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
                 records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
             break
 
+    # a loop that ends by its condition has taken a step, so dt is the
+    # adapted step size of the last one
     if termination == "completed" and records[-1].t < t:
-        records.append(make_record(u, cfg, dt=dt_prev))
+        records.append(make_record(u, cfg, dt=dt))
     return RunOutcome(
         termination=termination,
         t_final=t,

@@ -49,10 +49,6 @@ def _fftn(a):
     return scipy.fft.fftn(a, workers=thread_count())
 
 
-def _ifftn(a):
-    return scipy.fft.ifftn(a, workers=thread_count())
-
-
 @dataclass(frozen=True)
 class GridSpec:
     kind: str  # "tensor" | "radial"
@@ -163,39 +159,76 @@ def _axis(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def mesh(grid: GridSpec):
-    """Coordinate arrays: n meshes for tensor grids, (r,) for radial."""
-    if grid.kind == "radial":
-        return (radial_nodes(grid),)
-    ax = _axis(grid)
-    return tuple(np.meshgrid(*([ax] * grid.n), indexing="ij"))
+def _wavenumber_axis(grid: GridSpec) -> np.ndarray:
+    """xi = 2 pi k / L along one axis, in FFT order."""
+    if grid.kind != "tensor":
+        raise ValueError("wavenumbers are defined on tensor grids only")
+    return 2.0 * math.pi * scipy.fft.fftfreq(grid.points, d=grid.spacing)
+
+
+def _sparse_axes(axis: np.ndarray, n: int):
+    return np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
 
 
 @lru_cache(maxsize=64)
+def mesh(grid: GridSpec):
+    """Coordinate arrays: n sparse, broadcastable axes for tensor grids
+    (``np.broadcast_arrays`` makes them dense), (r,) for radial."""
+    if grid.kind == "radial":
+        return (radial_nodes(grid),)
+    return tuple(_sparse_axes(_axis(grid), grid.n))
+
+
+def _sum_of_squares(axes, shape) -> np.ndarray:
+    """((0 + a_0^2) + a_1^2) + ... of broadcastable axes, as a new array of
+    ``shape``: the one association order of every |x|^2 and |xi|^2 table."""
+    out = np.zeros(shape)
+    for a in axes:
+        out += a**2
+    return out
+
+
 def radius_sq_values(grid: GridSpec) -> np.ndarray:
+    """|x|^2 at every node, built on each call (a tensor grid keeps no
+    full-size copy); the caller owns the array."""
     if grid.kind == "radial":
         return radial_nodes(grid) ** 2
-    coords = mesh(grid)
-    out = np.zeros(grid.shape)
-    for c in coords:
-        out += c**2
-    return out
+    return _sum_of_squares(mesh(grid), grid.shape)
 
 
 def radius_values(grid: GridSpec) -> np.ndarray:
-    return np.sqrt(radius_sq_values(grid))
+    rsq = radius_sq_values(grid)
+    return np.sqrt(rsq, out=rsq)
+
+
+def wavenumber_sq_values(grid: GridSpec) -> np.ndarray:
+    """|xi|^2 at every wavenumber, built on each call; the caller owns the
+    array."""
+    return _sum_of_squares(_sparse_axes(_wavenumber_axis(grid), grid.n), grid.shape)
 
 
 @lru_cache(maxsize=64)
-def wavenumber_sq_values(grid: GridSpec) -> np.ndarray:
-    if grid.kind != "tensor":
-        raise ValueError("wavenumbers are defined on tensor grids only")
-    k1 = 2.0 * math.pi * scipy.fft.fftfreq(grid.points, d=grid.spacing)
-    meshes = np.meshgrid(*([k1] * grid.n), indexing="ij")
-    out = np.zeros(grid.shape)
-    for c in meshes:
-        out += c**2
-    return out
+def _square_split(grid: GridSpec, spectral: bool):
+    """|x|^2 (|xi|^2 when ``spectral``) on a tensor grid as first[i] +
+    rest[j]: ``first`` holds the squares along axis 0, ``rest`` the sums of
+    squares over the flattened (n-1)-d cross-section of the other axes
+    ([0.0] when n = 1)."""
+    axis = _wavenumber_axis(grid) if spectral else _axis(grid)
+    cross = (grid.points,) * (grid.n - 1)
+    return axis**2, _sum_of_squares(_sparse_axes(axis, grid.n - 1), cross).ravel()
+
+
+def _split_sum(grid: GridSpec, spectral: bool, a: np.ndarray) -> float:
+    """Sum over a tensor grid of |x|^2 (|xi|^2 when ``spectral``) times
+    ``a``, which holds k values per node in row order (k = 2 for (re^2,
+    im^2) pairs).  Taken as the axis-0 marginal (each row summed pairwise)
+    against ``first`` and the column marginal against ``rest``: two passes
+    over ``a`` and no full-size table."""
+    first, rest = _square_split(grid, spectral)
+    a = a.reshape(grid.points, -1)
+    rows = a.sum(axis=1)
+    cols = a.sum(axis=0).reshape(rest.size, -1)
+    return float(np.sum(first * rows) + np.sum(rest[:, None] * cols))
 
 
 @lru_cache(maxsize=64)
@@ -235,14 +268,17 @@ def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _weight_values_cached(grid: GridSpec, b: float, delta: float) -> np.ndarray:
-    rsq = radius_sq_values(grid)
-    return (rsq + delta**2) ** (-0.5 * b)
+    table = radius_sq_values(grid)
+    table += delta**2
+    table **= -0.5 * b
+    return table
 
 
 # -- spatial integrals: each is a dot product of |u|^2 (or |u|^p) with a
 # cached table.  Radial tables carry the node weights; tensor tables are plain
-# and the sum takes the scalar cell measure, so tensor grids reuse arrays the
-# run caches anyway (radius_sq_values, weight_values) and add none.
+# and the sum takes the scalar cell measure.  A tensor grid caches no table
+# but the weight the run needs anyway: the variance, a sum of per-axis terms,
+# is taken from the marginals of |u|^2 (``_split_sum``).
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
     """|values|^2 formed as re^2 + im^2 (no hypot): the density of every
@@ -260,9 +296,14 @@ def _quadrature(grid: GridSpec, table: np.ndarray, density: np.ndarray) -> float
 
 @lru_cache(maxsize=64)
 def _variance_table(grid: GridSpec) -> np.ndarray:
-    """|x|^2, times the node weights on radial grids."""
-    rsq = radius_sq_values(grid)
-    return rsq if grid.kind == "tensor" else rsq * radial_node_weights(grid)
+    """r^2 times the node weights (radial grids)."""
+    return radius_sq_values(grid) * radial_node_weights(grid)
+
+
+def _variance(grid: GridSpec, a2: np.ndarray) -> float:
+    if grid.kind == "radial":
+        return _quadrature(grid, _variance_table(grid), a2)
+    return _split_sum(grid, False, a2) * grid.cell_measure
 
 
 @lru_cache(maxsize=64)
@@ -343,7 +384,8 @@ class Moments(NamedTuple):
 def moments(u: Field, weight: PotentialWeight, sigma: float) -> Moments:
     """mass, variance, boundary_mass_fraction, weighted_potential_integral
     and max |u| of ``u`` in one pass: |u|^2 is formed once and each integral
-    is a dot product against a cached table (the tensor shell: slab sums).
+    is a dot product against a cached table (on tensor grids the shell is
+    summed as slabs and the variance from axis marginals).
     Each value equals the single-quantity function's bit for bit."""
     grid = u.grid
     a2 = _abs_sq(u.values)
@@ -353,7 +395,7 @@ def moments(u: Field, weight: PotentialWeight, sigma: float) -> Moments:
         total = _quadrature(grid, radial_node_weights(grid), a2)
     return Moments(
         mass=total,
-        variance=_quadrature(grid, _variance_table(grid), a2),
+        variance=_variance(grid, a2),
         boundary_mass_fraction=_shell_fraction(grid, a2, total),
         weighted_potential=_potential(grid, weight, sigma, a2),
         max_amp=math.sqrt(a2.max()),
@@ -366,7 +408,9 @@ def laplacian_norm_bound(grid: GridSpec) -> float:
     on the grid.
 
     Tensor grids: the largest |xi|^2, exact by Parseval (the Nyquist mode
-    attains it).  Radial grids: the largest absolute row sum (Gershgorin) of
+    attains it), taken as n times the largest xi^2 of one axis, which
+    equals the largest entry of ``wavenumber_sq_values`` bit for bit.
+    Radial grids: the largest absolute row sum (Gershgorin) of
     the symmetrised Laplacian D^1/2 Lap_h D^-1/2, D the node weights, whose
     off-diagonal entries are sqrt(upper_i lower_{i+1}).  hs_norm(u, 1)**2 is
     <u, -Lap_h u> in the node-weight inner product, in which -Lap_h is
@@ -374,7 +418,7 @@ def laplacian_norm_bound(grid: GridSpec) -> float:
     of the symmetrised matrix, which no row sum bound undercuts.
     """
     if grid.kind == "tensor":
-        return float(wavenumber_sq_values(grid).max())
+        return grid.n * float(np.max(_wavenumber_axis(grid) ** 2))
     lower, diag, upper = radial_laplacian_bands(grid)
     coupling = np.sqrt(upper[:-1] * lower[1:])
     rows = np.abs(diag)
@@ -397,25 +441,26 @@ def hs_norm(u: Field, s: float) -> float:
         return math.sqrt(mass(u))
     grid = u.grid
     if grid.kind == "tensor":
-        # sum of multiplier * |uhat|^2 with no full-size temporary: square the
-        # FFT output in place as (re, im) pairs and contract each column.
-        # einsum stays in NumPy; np.dot would hand a product this long to
-        # OpenBLAS threads, which then compete with the FFT workers.  The FFT
-        # runs before a cold cache builds ksq: the other order moves the
-        # transform's output into the malloc heap and, at 64^3, raises the
-        # peak RSS of a run by 2 MiB
-        pairs = _fftn(u.values).view(np.float64).reshape(-1, 2)
+        # sum of multiplier * |uhat|^2: square the FFT output in place as
+        # (re, im) pairs.  s = 1 takes |xi|^2 = xi_0^2 + |xi'|^2 from the
+        # marginals of the squares and builds no full-size table; other s
+        # build |xi|^(2s) for the call.  einsum stays in NumPy; np.dot would
+        # hand a product this long to OpenBLAS threads, which then compete
+        # with the FFT workers
+        pairs = _fftn(u.values).view(np.float64)
         pairs *= pairs
-        ksq = wavenumber_sq_values(grid)
-        multiplier = (ksq if s == 1 else ksq**s).ravel()
-        total = np.einsum("i,i->", multiplier, pairs[:, 0]) + np.einsum(
-            "i,i->", multiplier, pairs[:, 1]
-        )
+        if s == 1:
+            with np.errstate(invalid="ignore"):  # 0 * inf, handled below
+                total = _split_sum(grid, True, pairs)
+        else:
+            multiplier = wavenumber_sq_values(grid)
+            multiplier **= s
+            total = float(np.einsum("i,ik->", multiplier.ravel(), pairs.reshape(-1, 2)))
         # an overflowed square times the mean's zero multiplier is NaN; a
         # finite field's seminorm then is inf, so blow-up checks still fire
         if math.isnan(total) and np.all(np.isfinite(u.values.view(np.float64))):
             total = math.inf
-        return math.sqrt(float(total) * grid.cell_measure / u.values.size)
+        return math.sqrt(total * grid.cell_measure / u.values.size)
     if s != 1:
         raise ValueError("radial grids support only s = 0 and s = 1")
     h = grid.spacing
@@ -458,7 +503,7 @@ def weighted_potential_integral(u: Field, weight: PotentialWeight, sigma: float)
 
 def variance(u: Field) -> float:
     """Integral of |x|^2 |u|^2."""
-    return _quadrature(u.grid, _variance_table(u.grid), _abs_sq(u.values))
+    return _variance(u.grid, _abs_sq(u.values))
 
 
 def weighted_quadratic(u: Field, a) -> float:
@@ -468,22 +513,6 @@ def weighted_quadratic(u: Field, a) -> float:
     if grid.kind == "radial":
         table = table * radial_node_weights(grid)
     return _quadrature(grid, table, _abs_sq(u.values))
-
-
-def laplacian_apply(u: Field) -> Field:
-    """Laplacian: spectral multiplier -|xi|^2 on tensor grids; on radial
-    grids the self-adjoint flux stencil with zero flux through r = 0 and
-    Dirichlet u = 0 at r_max."""
-    grid = u.grid
-    if grid.kind == "tensor":
-        out = _ifftn(-wavenumber_sq_values(grid) * _fftn(u.values))
-        return Field(grid=grid, values=out, time_tag=u.time_tag)
-    lower, diag, upper = radial_laplacian_bands(grid)
-    v = u.values
-    out = diag * v
-    out[:-1] += upper[:-1] * v[1:]
-    out[1:] += lower[1:] * v[:-1]
-    return Field(grid=grid, values=out, time_tag=u.time_tag)
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 import scipy.fft
 import scipy.linalg
 
-from inls import dynamics, exponents
+from inls import dynamics, exponents, grids
 from inls.dynamics import (
     SimConfig,
     StepState,
@@ -602,6 +603,30 @@ class TestCarriedHalfPhase:
         monkeypatch.setattr(dynamics, "strang_step", dropping_factor)
         without = peak()
         assert with_carry <= without + 4096  # bytes: bookkeeping, not a buffer
+
+
+def test_tensor_run_retains_only_weight_and_propagator():
+    # a tensor run caches two full-size tables, the weight and the kinetic
+    # propagator; coordinates and |x|^2, |xi|^2 stay per-axis or transient
+    cfg = replace(_focusing_3d_config(), t_end=0.0205, record_every=5)  # 32^3
+    u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+    for module in (grids, dynamics):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        outcome = run(cfg, u0)
+        assert outcome.termination == "completed"
+        del outcome
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    weight = weight_values(cfg.grid, cfg.weight)
+    propagator = np.empty(cfg.grid.shape, dtype=np.complex128)
+    assert retained <= weight.nbytes + propagator.nbytes + 64 * 1024
 
 
 @pytest.mark.parametrize("kind", ["tensor", "radial"])

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import inls
+from inls import dynamics
 from inls.grids import (
     Field,
     GridSpec,
@@ -22,7 +24,6 @@ from inls.grids import (
     dump_field,
     gaussian_field,
     hs_norm,
-    laplacian_apply,
     laplacian_norm_bound,
     load_field,
     mass,
@@ -31,13 +32,14 @@ from inls.grids import (
     radial_laplacian_bands,
     radial_node_weights,
     radial_nodes,
+    radius_sq_values,
     variance,
     weight_values,
     weighted_potential_integral,
     weighted_quadratic,
     wavenumber_sq_values,
 )
-from inls.ground_state import sphere_area
+from inls.ground_state import GroundStateProfile, sample_on_grid, sphere_area
 
 
 def normalized_gaussian(grid):
@@ -329,6 +331,91 @@ class TestLaplacianNormBound:
             assert top <= bound <= 1.1 * top, points
 
 
+def _dense_axes(grid, spectral):
+    """The axis arrays as first built: dense ``meshgrid`` copies."""
+    if spectral:
+        axis = 2.0 * math.pi * scipy.fft.fftfreq(grid.points, d=grid.spacing)
+    else:
+        axis = -0.5 * grid.extent + grid.spacing * np.arange(grid.points)
+    return axis, np.meshgrid(*([axis] * grid.n), indexing="ij")
+
+
+def _dense_sum_of_squares(grid, spectral):
+    """|x|^2 or |xi|^2 as first built and cached: the dense meshes summed in
+    axis order from zero."""
+    out = np.zeros(grid.shape)
+    for c in _dense_axes(grid, spectral)[1]:
+        out += c**2
+    return out
+
+
+def _fsum_reference(grid, spectral, density):
+    """Sum of |x|^2 or |xi|^2 times ``density`` by ``math.fsum`` over the
+    per-axis products, so no table of summed squares rounds it."""
+    axis = _dense_axes(grid, spectral)[0]
+    terms = []
+    for k in range(grid.n):
+        shape = [1] * density.ndim
+        shape[k] = grid.points
+        terms.extend((axis.reshape(shape) ** 2 * density).ravel().tolist())
+    return math.fsum(terms)
+
+
+def _separable_fields(grid):
+    rng = np.random.default_rng(12 + grid.n)
+    for width in (0.08 * grid.extent, 0.25 * grid.extent):
+        window = gaussian_field(grid, 1.0, width).values
+        noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        yield Field(grid, window * noise)
+    if grid.n == 3:
+        yield sample_on_grid(GroundStateProfile(n=3, b=0.5, epsilon=1.0), grid, scale=0.5)
+
+
+_SEPARABLE_GRIDS = [
+    pytest.param(GridSpec.tensor(n, 16.0, points), id=f"tensor{n}d")
+    for n, points in ((1, 256), (2, 64), (3, 32))
+]
+
+
+class TestSeparableTables:
+    """Tensor grids cache no full-size |x|^2, |xi|^2 or coordinate mesh."""
+
+    @pytest.mark.parametrize("grid", _SEPARABLE_GRIDS)
+    def test_tables_equal_the_dense_construction(self, grid):
+        rsq = _dense_sum_of_squares(grid, spectral=False)
+        ksq = _dense_sum_of_squares(grid, spectral=True)
+        assert np.array_equal(radius_sq_values(grid), rsq)
+        assert np.array_equal(wavenumber_sq_values(grid), ksq)
+        for sparse, dense in zip(np.broadcast_arrays(*mesh(grid)), _dense_axes(grid, False)[1]):
+            assert np.array_equal(sparse, dense)
+        for b, delta in ((0.5, 0.25), (1.0, 0.1), (2.0, 0.3), (4.0 / 3.0, 1.0), (0.0, 0.0)):
+            expected = (rsq + delta**2) ** (-0.5 * b)
+            assert np.array_equal(weight_values(grid, PotentialWeight(b, delta)), expected)
+        for dt in (1e-3, 7e-4, 0.0173):
+            expected = dynamics._unit_phase(-0.5 * dt * ksq)
+            assert np.array_equal(dynamics._kinetic_propagator(grid, dt), expected)
+        assert laplacian_norm_bound(grid) == float(ksq.max())
+
+    @pytest.mark.parametrize("grid", _SEPARABLE_GRIDS)
+    def test_h1_and_variance_against_fsum(self, grid):
+        ksq = _dense_sum_of_squares(grid, spectral=True).ravel()
+        rsq = _dense_sum_of_squares(grid, spectral=False).ravel()
+        scale = grid.cell_measure / grid.points**grid.n
+        for u in _separable_fields(grid):
+            squares = np.square(scipy.fft.fftn(u.values).view(np.float64).reshape(-1, 2))
+            # hs_norm's contraction against the full |xi|^2 table
+            full = np.einsum("i,i->", ksq, squares[:, 0]) + np.einsum("i,i->", ksq, squares[:, 1])
+            reference = _fsum_reference(grid, True, squares.reshape(grid.shape + (2,)))
+            h1_ref = math.sqrt(reference * scale)
+            allowed = max(abs(math.sqrt(full * scale) - h1_ref), 4e-15 * h1_ref)
+            assert abs(hs_norm(u, 1) - h1_ref) <= allowed
+            a2 = u.values.real**2 + u.values.imag**2
+            full = np.einsum("i,i->", rsq, a2.ravel()) * grid.cell_measure
+            reference = _fsum_reference(grid, False, a2) * grid.cell_measure
+            allowed = max(abs(full - reference), 4e-15 * reference)
+            assert abs(variance(u) - reference) <= allowed
+
+
 class TestWeightedIntegrals:
     def test_zero_field(self):
         grid = GridSpec.radial(3, 8.0, 64)
@@ -396,6 +483,23 @@ class TestVariance:
         assert weighted_quadratic(
             u, lambda *c: sum(ci ** 2 for ci in c)
         ) == pytest.approx(variance(u), rel=1e-14)
+
+
+def laplacian_apply(u):
+    """The Laplacian as an oracle for the bands: spectral multiplier -|xi|^2
+    on tensor grids; on radial grids the self-adjoint flux stencil of
+    ``radial_laplacian_bands``, with zero flux through r = 0 and Dirichlet
+    u = 0 at r_max, applied as a matrix product."""
+    grid = u.grid
+    if grid.kind == "tensor":
+        out = scipy.fft.ifftn(-wavenumber_sq_values(grid) * scipy.fft.fftn(u.values))
+        return Field(grid=grid, values=out, time_tag=u.time_tag)
+    lower, diag, upper = radial_laplacian_bands(grid)
+    v = u.values
+    out = diag * v
+    out[:-1] += upper[:-1] * v[1:]
+    out[1:] += lower[1:] * v[:-1]
+    return Field(grid=grid, values=out, time_tag=u.time_tag)
 
 
 class TestLaplacian:
