@@ -13,38 +13,24 @@ integral) the columns agree to 1e-14 relative, and mass bit for bit.
 """
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
 
 from .dynamics import SimConfig
+from .exponents import HypothesisViolation, hypothesis_report
 from .grids import Field, hs_norm, moments, weighted_potential_integral, weighted_quadratic
 from .ground_state import GroundStateQuantities, scaled_energy_ratio
 
 SYMMETRY_CLASSES = ("finite_variance", "radial", "cylindrical", "none")
 
-CSV_COLUMNS = (
-    "t",
-    "mass",
-    "energy",
-    "h1dot_sq",
-    "weighted_potential",
-    "variance",
-    "virial_rhs",
-    "localized_virial",
-    "boundary_mass_fraction",
-    "dt",
-    "max_amp",
-)
-_CSV_CELLS = operator.attrgetter(*CSV_COLUMNS)
-
 
 @dataclass
 class DiagnosticsRecord:
+    """One row of ``series.csv``; the fields, in order, are its columns."""
+
     t: float
     mass: float
     energy: float
@@ -59,6 +45,10 @@ class DiagnosticsRecord:
 
     def csv_row(self):
         return ["" if x is None else "%.17g" % x for x in _CSV_CELLS(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+_CSV_CELLS = operator.attrgetter(*CSV_COLUMNS)
 
 
 def _h1sq(u: Field) -> float:
@@ -205,22 +195,21 @@ def classify_blowup(
     |u0|_H1 > |W|_H1 (reporting the largest admissible energy gap
     delta = 1 - E(u0)/E(W)); otherwise ``no_verdict``.
 
-    Restricted to the focusing energy-critical configuration; a cylindrical
-    symmetry claim additionally needs b >= 4 - n.
+    Restricted to the hypotheses of ``hypothesis_report("blowup_criterion")``
+    (``HypothesisViolation`` otherwise), a focusing coupling and a bubble
+    ``gs`` of the run's (n, b); any epsilon.
     """
     params = cfg.params
-    n = params.n
-    if n < 3:
-        raise ValueError("the blow-up classifier requires n >= 3")
-    if params.sigma_value != (4 - 2 * params.b) / Fraction(n - 2):
-        raise ValueError("classifier requires the energy-critical power (4-2b)/(n-2)")
     if not cfg.lam < 0:
         raise ValueError("classifier requires a focusing coupling (lam < 0)")
     if symmetry not in SYMMETRY_CLASSES:
         raise ValueError(f"symmetry must be one of {SYMMETRY_CLASSES}")
-    if symmetry == "cylindrical" and params.b < 4 - n:
+    verdict = hypothesis_report("blowup_criterion", params, symmetry=symmetry)
+    if not verdict.holds:
+        raise HypothesisViolation(verdict)
+    if (gs.profile.n, gs.profile.b) != (params.n, params.b_float):
         raise ValueError(
-            f"cylindrical symmetry needs b >= 4-n = {4 - n}, got b = {params.b}"
+            f"ground state {gs.profile} is not the bubble of n = {params.n}, b = {params.b}"
         )
 
     e_w = gs.energy

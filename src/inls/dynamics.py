@@ -54,8 +54,6 @@ from .grids import (
     weight_values,
 )
 
-TERMINATIONS = ("completed", "blowup_detected", "dt_underflow", "non_finite")
-
 
 @dataclass
 class SimConfig:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -40,10 +40,6 @@ class HypothesisViolation(ExponentError):
         )
         self.verdict = verdict
         self.failed = failed
-
-
-class InfeasibleExponents(ExponentError):
-    """Raised when an exponent relation has no admissible solution."""
 
 
 class _Infinity:
@@ -80,7 +76,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 ExtendedRational = Union[Fraction, _Infinity]
 
@@ -168,22 +163,6 @@ class CriticalityParams:
     def b_float(self) -> float:
         """``b`` as a float, converted once per instance."""
         return float(self.b)
-
-
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """A Strichartz-admissible pair (gamma, p) with 2/gamma = n/2 - n/p."""
-
-    p: ExtendedRational
-    gamma: ExtendedRational
-
-    @classmethod
-    def from_p(cls, p: ExtendedRational, n: int) -> "AdmissiblePair":
-        if not is_admissible(p, n):
-            raise InfeasibleExponents(
-                f"p = {fmt(p)} is outside the admissible range for n = {n}"
-            )
-        return cls(p=p, gamma=gamma_of(p, n))
 
 
 @dataclass(frozen=True)
@@ -307,28 +286,6 @@ def holder_time_identity(params: CriticalityParams, r: RationalLike) -> bool:
     lhs = 1 - _inv_gamma(rbar, n)          # 1/gamma(rbar)'
     rhs = (sig + 1) * _inv_gamma(r, n)     # (sigma+1)/gamma(r)
     return lhs == rhs
-
-
-def nonlinearity_index(
-    r: RationalLike, s: RationalLike, sigma: RationalLike, n: int
-) -> Fraction:
-    """Lebesgue index p with 1/p = sigma*(1/r - s/n) + 1/r, the target space
-    of the power nonlinearity; infeasible when 1/r <= s/n or p <= 1."""
-    r = as_rational(r)
-    s = as_rational(s)
-    sigma = as_rational(sigma)
-    if r <= 1:
-        raise InfeasibleExponents(f"r must exceed 1, got {fmt(r)}")
-    gap = 1 / r - Fraction(s, 1) / n
-    if gap <= 0:
-        raise InfeasibleExponents(
-            f"requires 1/r > s/n (1/r = {fmt(1 / r)}, s/n = {fmt(Fraction(s, 1) / n)})"
-        )
-    inv_p = sigma * gap + 1 / r
-    p = 1 / inv_p
-    if p <= 1:
-        raise InfeasibleExponents(f"index must exceed 1, got p = {fmt(p)}")
-    return p
 
 
 def _b_cap(n: int, s: Fraction) -> Fraction:

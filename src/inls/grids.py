@@ -196,11 +196,6 @@ def radius_sq_values(grid: GridSpec) -> np.ndarray:
     return _sum_of_squares(mesh(grid), grid.shape)
 
 
-def radius_values(grid: GridSpec) -> np.ndarray:
-    rsq = radius_sq_values(grid)
-    return np.sqrt(rsq, out=rsq)
-
-
 def wavenumber_sq_values(grid: GridSpec) -> np.ndarray:
     """|xi|^2 at every wavenumber, built on each call; the caller owns the
     array."""
@@ -545,17 +540,12 @@ def gaussian_field(
     """A * exp(-|x - center|^2 / (2 w^2)); center defaults to the origin."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width!r}")
-    if grid.kind == "radial":
-        if center is not None:
-            raise ValueError("radial grids take centered data only")
-        rsq = radius_sq_values(grid)
-    else:
-        coords = mesh(grid)
-        if center is None:
-            center = (0.0,) * grid.n
-        rsq = np.zeros(grid.shape)
-        for c, c0 in zip(coords, center):
-            rsq = rsq + (c - c0) ** 2
+    if center is None:
+        center = (0.0,) * grid.n
+    elif grid.kind == "radial":
+        raise ValueError("radial grids take centered data only")
+    # the radial mesh is (r,): |r - 0|^2 is r^2
+    rsq = _sum_of_squares([c - c0 for c, c0 in zip(mesh(grid), center)], grid.shape)
     values = amplitude * np.exp(-rsq / (2.0 * width**2))
     return Field(grid=grid, values=values.astype(np.complex128), time_tag=0.0)
 

@@ -75,30 +75,6 @@ def w_eval(profile: GroundStateProfile, r):
     return out if out.ndim else float(out)
 
 
-def w_grad_eval(profile: GroundStateProfile, r):
-    """Radial derivative dW/dr.
-
-    At r = 0 the derivative is 0 for b < 1, finite for b = 1, and divergent
-    for b > 1 (rejected).
-    """
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    b, eps = profile.b, profile.epsilon
-    q = 2.0 - b
-    k = profile.decay
-    A = profile.amplitude
-    if np.any(r == 0.0) and b > 1.0:
-        raise ValueError("derivative diverges at r = 0 for b > 1")
-    out = np.empty_like(r)
-    zero = r == 0.0
-    pos = ~zero
-    out[pos] = -A * k * q * r[pos] ** (1.0 - b) * (eps + r[pos] ** q) ** (-k - 1.0)
-    if np.any(zero):
-        out[zero] = 0.0 if b < 1.0 else -A * k * q * eps ** (-k - 1.0)
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for the radial quadrature: either fix r_max or let the panel
@@ -106,16 +82,14 @@ class QuadratureSpec:
 
     r_min: Optional[float] = None
     r_max: Optional[float] = None
-    panels_per_decade: int = 4
-    nodes: int = 20
     tol: float = 1e-12
     max_refine: int = 6
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if self.panels_per_decade < 1 or self.nodes < 2 or self.max_refine < 0:
-            raise ValueError("quadrature controls out of range")
+        if self.max_refine < 0:
+            raise ValueError("max_refine must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -134,17 +108,22 @@ class GroundStateQuantities:
         return math.sqrt(self.h1dot_sq)
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+# panels per decade before the first refinement doubles them, and the
+# Gauss-Legendre points per panel
+_PANELS_PER_DECADE = 4
+_GL_NODES = 20
 
 
-def _integrate_log_panels(f, r_lo: float, r_hi: float, panels: int, nodes: int) -> float:
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    return np.polynomial.legendre.leggauss(_GL_NODES)
+
+
+def _integrate_log_panels(f, r_lo: float, r_hi: float, panels: int) -> float:
     """Integrate f over [r_lo, r_hi] with per-panel Gauss-Legendre in log space."""
     t_lo, t_hi = math.log(r_lo), math.log(r_hi)
     edges = np.linspace(t_lo, t_hi, panels + 1)
-    x, w = _gl_nodes(nodes)
+    x, w = _gl_nodes()
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = mid[:, None] + half[:, None] * x[None, :]
@@ -199,11 +178,11 @@ def _kernel_integral(C, alpha, m, profile, quad) -> float:
     head = _head_integral(C, alpha, m, eps, q, r_lo)
     tail = _tail_integral(C, alpha, m, eps, q, r_hi)
 
-    ppd = quad.panels_per_decade
+    ppd = _PANELS_PER_DECADE
     prev = None
     for _ in range(quad.max_refine + 1):
         panels = max(4, int(math.ceil(decades * ppd)))
-        core = _integrate_log_panels(f, r_lo, r_hi, panels, quad.nodes)
+        core = _integrate_log_panels(f, r_lo, r_hi, panels)
         total = head + core + tail
         if prev is not None and abs(total - prev) <= quad.tol * abs(total):
             return total
@@ -265,13 +244,14 @@ def scaled_energy_ratio(c: float, quantities: GroundStateQuantities):
 
 def sample_on_grid(profile: GroundStateProfile, grid, scale: float = 1.0):
     """Sample scale * W on a grid (radial nodes, or |x| on a tensor grid)."""
-    from .grids import Field, GridSpec, radial_nodes, radius_values
+    from .grids import Field, radial_nodes, radius_sq_values
 
     if grid.kind == "radial":
         r = radial_nodes(grid)
     else:
         if grid.n != profile.n:
             raise ValueError("tensor grid dimension must match the profile")
-        r = radius_values(grid)
+        r = radius_sq_values(grid)
+        np.sqrt(r, out=r)
     values = scale * w_eval(profile, r)
     return Field(grid=grid, values=values.astype(complex), time_tag=0.0)

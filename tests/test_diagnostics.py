@@ -25,7 +25,7 @@ from inls.diagnostics import (
     virial_rhs,
 )
 from inls.dynamics import SimConfig, run
-from inls.exponents import CRITICAL, CriticalityParams
+from inls.exponents import CRITICAL, CriticalityParams, HypothesisViolation
 from inls.grids import (
     Field,
     GridSpec,
@@ -228,6 +228,27 @@ class TestClassifier:
             classify_blowup(
                 ScaledGroundState(1.2), focusing_radial_config, gs_quantities, "cylindrical"
             )
+
+    def test_rejects_bubble_of_another_equation(self, focusing_radial_config):
+        # an n = 4, b = 1/4 bubble against an n = 3, b = 1/2 run: its E(W) and
+        # |W|_H1 belong to another equation
+        other = compute_quantities(GroundStateProfile(4, 0.25, 1.0))
+        with pytest.raises(ValueError, match="ground state"):
+            classify_blowup(ScaledGroundState(1.2), focusing_radial_config, other, "radial")
+        # epsilon may differ: the bubble's family is fixed by (n, b)
+        wider = compute_quantities(GroundStateProfile(3, 0.5, 2.0))
+        classify_blowup(ScaledGroundState(1.2), focusing_radial_config, wider, "radial")
+
+    def test_rejects_b_outside_blowup_criterion(self, focusing_radial_config):
+        # n = 3, b = 7/4: sigma = (4-2b)/(n-2) = 1/2 is energy-critical, but
+        # b >= min(2, n/2) = 3/2 is outside the paper's blow-up criterion
+        params = CriticalityParams(
+            n=3, s=Fraction(1), b=Fraction(7, 4), sigma=CRITICAL, lambda_sign="focusing"
+        )
+        cfg = replace(focusing_radial_config, params=params, weight=PotentialWeight(b=1.75))
+        gs = compute_quantities(GroundStateProfile(3, 1.75, 1.0))
+        with pytest.raises(HypothesisViolation, match=r"0 < b < min\(2, n/2\)"):
+            classify_blowup(ScaledGroundState(1.2), cfg, gs, "radial")
 
     def test_verdict_boundaries_by_bisection(self, focusing_radial_config, gs_quantities):
         def case_of(c):

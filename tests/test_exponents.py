@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from inls.exponents import (
     CRITICAL,
     INF,
-    AdmissiblePair,
     CriticalityParams,
     ExponentError,
     HypothesisViolation,
-    InfeasibleExponents,
     critical_power,
     dual_exponent_identity,
     gamma_of,
     holder_time_identity,
     hypothesis_report,
     is_admissible,
-    nonlinearity_index,
     region_comparison,
     sample_critical_params,
     working_exponent,
@@ -97,12 +94,6 @@ class TestAdmissibility:
     def test_lower_endpoint(self):
         assert is_admissible(F(2), 1)
 
-    def test_pair_constructor(self):
-        pair = AdmissiblePair.from_p(F(18, 7), 3)
-        assert pair.gamma == F(6)
-        with pytest.raises(InfeasibleExponents):
-            AdmissiblePair.from_p(F(7), 3)
-
 
 class TestWorkingExponent:
     def test_reference_point(self):
@@ -163,32 +154,6 @@ class TestIdentities:
     def test_holder_time_rejects_inadmissible_r(self):
         with pytest.raises(ExponentError):
             holder_time_identity(params(3, 1, 1), F(7))
-
-
-class TestNonlinearityIndex:
-    def test_unit_index_infeasible(self):
-        # 1/p = 1/2 + 1/2 = 1 is rejected: the index must exceed 1
-        with pytest.raises(InfeasibleExponents):
-            nonlinearity_index(F(2), F(0), F(1), 3)
-
-    def test_reference_point(self):
-        assert nonlinearity_index(F(18, 7), F(1), F(2), 3) == F(2)
-
-    def test_zero_gap_infeasible(self):
-        # 1/r - s/n = 1/4 - 1/4 = 0 violates the strict positivity requirement
-        with pytest.raises(InfeasibleExponents):
-            nonlinearity_index(F(4), F(1, 2), F(2), 2)
-
-    def test_positive_gap_value(self):
-        # 1/p = 2*(1/4 - 1/6) + 1/4 = 5/12
-        assert nonlinearity_index(F(4), F(1, 2), F(2), 3) == F(12, 5)
-
-    def test_dual_relation_to_working_exponent(self):
-        # 1/p + b/n recovers the dual-endpoint identity for n >= 3
-        p = params(3, 1, 1)
-        r, _ = working_exponent(p)
-        idx = nonlinearity_index(r, p.s, p.sigma_value, p.n)
-        assert 1 / idx + F(p.b, 1) / p.n == 1 - F(p.n - 2, 2 * p.n)
 
 
 class TestHypothesisReport:

@@ -14,7 +14,6 @@ from inls.ground_state import (
     scaled_energy_ratio,
     sphere_area,
     w_eval,
-    w_grad_eval,
 )
 
 
@@ -60,28 +59,6 @@ class TestProfileEvaluation:
             GroundStateProfile(3, 2.0)
         with pytest.raises(ValueError):
             GroundStateProfile(3, 0.5, 0.0)
-
-
-class TestGradient:
-    def test_zero_at_origin_smooth_case(self):
-        assert w_grad_eval(GroundStateProfile(3, 0.0, 1.0), 0.0) == 0.0
-
-    def test_rejects_origin_for_steep_weight(self):
-        with pytest.raises(ValueError):
-            w_grad_eval(GroundStateProfile(3, 1.5, 1.0), 0.0)
-
-    def test_finite_difference_agreement(self):
-        for n, b, eps in [(3, 0.0, 1.0), (3, 0.5, 2.0), (4, 1.0, 0.5), (5, 1.5, 1.0)]:
-            profile = GroundStateProfile(n, b, eps)
-            r = np.logspace(-3, 3, 61)
-            h = 1e-4 * r  # relative step balancing roundoff vs truncation
-            fd = (w_eval(profile, r + h) - w_eval(profile, r - h)) / (2 * h)
-            grad = w_grad_eval(profile, r)
-            assert np.max(np.abs(grad - fd) / np.abs(grad)) < 1e-6
-
-    def test_far_field_is_negligible(self):
-        for profile in [GroundStateProfile(3, 0.5, 1.0), GroundStateProfile(4, 1.0, 2.0)]:
-            assert abs(w_grad_eval(profile, 1e6)) < 1e-5 * w_eval(profile, 1.0)
 
 
 class TestQuantities:

@@ -258,6 +258,18 @@ class TestSimulateCommand:
         assert meta["lambda"] == 0.0
         assert initial.grid.points == 64
 
+    def test_series_header_is_the_documented_text(self, tmp_path, capsys):
+        # the column names and order of README's series.csv contract, as
+        # literal text: CSV_COLUMNS is derived from the record's fields
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert cli.main(["simulate", str(path)]) == EXIT_OK
+        run_dir = next((tmp_path / "runs").iterdir())
+        header = (run_dir / "series.csv").read_text().splitlines()[0]
+        assert header == (
+            "t,mass,energy,h1dot_sq,weighted_potential,variance,virial_rhs,"
+            "localized_virial,boundary_mass_fraction,dt,max_amp"
+        )
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         raw = base_config(tmp_path)
         raw["grid"]["padding"] = 2
