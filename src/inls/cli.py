@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -496,9 +497,7 @@ def cmd_simulate(args) -> int:
         "verdicts": {
             name: {
                 "holds": v.holds,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "values": c.values} for c in v.checks
-                ],
+                "checks": [dataclasses.asdict(c) for c in v.checks],
             }
             for name, v in verdicts.items()
         },
@@ -523,15 +522,7 @@ def cmd_simulate(args) -> int:
         else:
             data = u0
         threshold = diagnostics.classify_blowup(data, config.sim, gs, symmetry)
-        report["classification"] = {
-            "case": threshold.case,
-            "symmetry": threshold.symmetry,
-            "e0": threshold.e0,
-            "h1_0": threshold.h1_0,
-            "e_w": threshold.e_w,
-            "h1_w": threshold.h1_w,
-            "delta": threshold.delta,
-        }
+        report["classification"] = dataclasses.asdict(threshold)
 
     (run_dir / "report.json").write_text(_json_text(report) + "\n", encoding="utf-8")
     print(f"run directory: {run_dir}")

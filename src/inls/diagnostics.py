@@ -1,15 +1,15 @@
 """Run observables: energy, virial quantities, localized cutoffs, the
 threshold function, and the blow-up classifier.
 
-A record's columns come from one pass over the field (``grids.moments``):
-|u|^2 is formed once as re^2 + im^2 and mass, variance, the outer-shell mass
-and the weighted potential are dot products of it (or of |u|^(sigma+2)
-built from it) against cached weight tables (the tensor variance: sums of
-its axis marginals); max_amp is sqrt(max |u|^2).
-``energy``, ``virial_rhs`` and the single-quantity integrals in ``grids``
-use the same formulas, so they equal a record's fields exactly.  Against
-the earlier per-quantity formulas (|u| by hypot, a separate array per
-integral) the columns agree to 1e-14 relative, and mass bit for bit.
+``make_record`` is the one place where a field's observables are combined,
+and ``grids.moments`` the one pass over the field behind it: |u|^2 is formed
+once as re^2 + im^2 and mass, variance, the outer-shell mass and the
+weighted potential are dot products of it against cached weight tables (the
+tensor variance: sums of its axis marginals; the potential: against the
+density w |u|^sigma, which a run hands over from its stepper); max_amp is
+sqrt(max |u|^2).  Against the earlier per-quantity formulas (|u| by hypot,
+a separate array per integral) the columns agree to 1e-14 relative, and
+mass bit for bit.
 """
 from __future__ import annotations
 
@@ -19,12 +19,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import SimConfig
+from .dynamics import SimConfig, nonlinear_density
 from .exponents import HypothesisViolation, hypothesis_report
-from .grids import Field, hs_norm, moments, weighted_potential_integral, weighted_quadratic
+from .grids import Field, hs_norm, moments, weighted_quadratic
 from .ground_state import GroundStateQuantities, scaled_energy_ratio
-
-SYMMETRY_CLASSES = ("finite_variance", "radial", "cylindrical", "none")
 
 
 @dataclass
@@ -51,35 +49,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 _CSV_CELLS = operator.attrgetter(*CSV_COLUMNS)
 
 
-def _h1sq(u: Field) -> float:
-    h1 = hs_norm(u, 1)
-    return h1 * h1
-
-
 def energy(u: Field, cfg: SimConfig) -> float:
-    """Conserved energy: |u|_H1^2 / 2 + (lambda/(sigma+2)) * weighted potential."""
-    return _energy_from(_h1sq(u), weighted_potential_integral(u, cfg.weight, cfg.sigma), cfg)
-
-
-def _energy_from(h1sq: float, pot: float, cfg: SimConfig) -> float:
-    return 0.5 * h1sq + cfg.lam / (cfg.sigma + 2.0) * pot
-
-
-def virial_rhs(u: Field, cfg: SimConfig) -> float:
-    """Second time derivative of the variance predicted by the virial
-    identity, with the run's regularized weight:
-
-        8 |u|_H1^2 + 4 lam (n sigma + 2 b)/(sigma + 2) * weighted potential
-
-    (for lam = -1 this is the focusing identity; lam = 0 drops the term)."""
-    return _virial_rhs_from(_h1sq(u), weighted_potential_integral(u, cfg.weight, cfg.sigma), cfg)
-
-
-def _virial_rhs_from(h1sq: float, pot: float, cfg: SimConfig) -> float:
-    n = cfg.grid.n
-    sig = cfg.sigma
-    b = cfg.params.b_float
-    return 8.0 * h1sq + 4.0 * cfg.lam * (n * sig + 2.0 * b) / (sig + 2.0) * pot
+    """Conserved energy of ``u``, as its record reports it."""
+    return make_record(u, cfg, dt=cfg.dt_init).energy
 
 
 def theta_cutoff(r):
@@ -136,21 +108,36 @@ def g_threshold(y: float, gs: GroundStateQuantities) -> float:
 
 
 def make_record(
-    u: Field, cfg: SimConfig, dt: float, h1sq: Optional[float] = None
+    u: Field,
+    cfg: SimConfig,
+    dt: float,
+    h1sq: Optional[float] = None,
+    density: Optional[np.ndarray] = None,
 ) -> DiagnosticsRecord:
-    """One series row; ``h1sq`` is |u|_H1^2 when the caller has it."""
+    """One series row.  ``h1sq`` is |u|_H1^2 and ``density`` is w |u|^sigma
+    of ``u`` (a run's ``state.density``) when the caller has them.
+
+    With P the weighted potential, the energy is |u|_H1^2 / 2 +
+    lam/(sigma+2) P, and ``virial_rhs``, the second time derivative of the
+    variance that the virial identity predicts with the run's regularized
+    weight, is 8 |u|_H1^2 + 4 lam (n sigma + 2 b)/(sigma + 2) P (for
+    lam = -1 the focusing identity; lam = 0 drops the term)."""
     if h1sq is None:
-        h1sq = _h1sq(u)
-    m = moments(u, cfg.weight, cfg.sigma)
+        h1 = hs_norm(u, 1)
+        h1sq = h1 * h1
+    if density is None:
+        density = nonlinear_density(u, cfg)
+    m = moments(u, density)
     pot = m.weighted_potential
+    n, sig, b = cfg.grid.n, cfg.sigma, cfg.params.b_float
     return DiagnosticsRecord(
         t=u.time_tag,
         mass=m.mass,
-        energy=_energy_from(h1sq, pot, cfg),
+        energy=0.5 * h1sq + cfg.lam / (sig + 2.0) * pot,
         h1dot_sq=h1sq,
         weighted_potential=pot,
         variance=m.variance,
-        virial_rhs=_virial_rhs_from(h1sq, pot, cfg),
+        virial_rhs=8.0 * h1sq + 4.0 * cfg.lam * (n * sig + 2.0 * b) / (sig + 2.0) * pot,
         localized_virial=None,
         boundary_mass_fraction=m.boundary_mass_fraction,
         dt=dt,
@@ -173,12 +160,15 @@ class ScaledGroundState:
 
 @dataclass
 class ThresholdReport:
+    """The classifier's verdict; the fields, in order, are the keys of
+    ``report.json``'s classification."""
+
+    case: str  # negative_energy | below_ground_state_above_norm | no_verdict
+    symmetry: str
     e0: float
     h1_0: float
     e_w: float
     h1_w: float
-    case: str  # negative_energy | below_ground_state_above_norm | no_verdict
-    symmetry: str
     delta: Optional[float]
 
 
@@ -202,8 +192,6 @@ def classify_blowup(
     params = cfg.params
     if not cfg.lam < 0:
         raise ValueError("classifier requires a focusing coupling (lam < 0)")
-    if symmetry not in SYMMETRY_CLASSES:
-        raise ValueError(f"symmetry must be one of {SYMMETRY_CLASSES}")
     verdict = hypothesis_report("blowup_criterion", params, symmetry=symmetry)
     if not verdict.holds:
         raise HypothesisViolation(verdict)
@@ -219,8 +207,8 @@ def classify_blowup(
         e0 = energy_ratio * gs.h1dot_sq
         h1_0 = h1_ratio * h1_w
     else:
-        e0 = energy(u0, cfg)
         h1_0 = hs_norm(u0, 1)
+        e0 = make_record(u0, cfg, cfg.dt_init, h1sq=h1_0 * h1_0).energy
 
     delta = None
     if e0 < 0.0:

@@ -4,7 +4,8 @@ Both steppers have one shape, ``step(u, cfg, dt, state) -> (field, state)``.
 ``start_state(u, cfg)`` builds the ``StepState`` before the first step; each
 step consumes the state of its input and returns it refilled for its output,
 so ``state.density`` is always w |u|^sigma of the current field (None when
-lam = 0), the one density ``adapt_dt`` reads and the next step starts from.
+lam = 0), the one density ``adapt_dt`` reads, ``run``'s records take the
+weighted potential from, and the next step starts from.
 
 Tensor grids: Strang splitting with an exact spectral free propagator and
 pointwise nonlinear phases (both substeps preserve the discrete mass to
@@ -152,10 +153,12 @@ def nonlinear_density(
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """w |u|^sigma: the rate of the nonlinear phase, computed once per step
-    and shared by ``adapt_dt`` and the stepper.  With ``out`` the result is
-    written into that real array of the grid's shape; ``scratch``, another
-    such array, holds |u| while an integer sigma's power is multiplied out.
-    Every way of calling it rounds identically (``grids.abs_power``)."""
+    and shared by ``adapt_dt``, the stepper and the step's record, whose
+    weighted potential is the integral of it times |u|^2.  With ``out`` the
+    result is written into that real array of the grid's shape; ``scratch``,
+    another such array, holds |u| while an integer sigma's power is
+    multiplied out.  Every way of calling it rounds identically
+    (``grids.abs_power``)."""
     out = abs_power(u.values, cfg.sigma, out, scratch)
     out *= weight_values(u.grid, cfg.weight)
     return out
@@ -332,12 +335,13 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     h1_0 = hs_norm(u, 1)
     rho = laplacian_norm_bound(u.grid)
     undetectable = 0.5 * (cfg.blowup_ratio * h1_0) ** 2
-    records = [make_record(u, cfg, dt=cfg.dt_init)]
+    # every record takes the potential from the state's density w |u|^sigma
+    state = start_state(u, cfg)
+    records = [make_record(u, cfg, dt=cfg.dt_init, density=state.density)]
     t = 0.0
     steps = 0
     pinned = 0
     step = strang_step if cfg.grid.kind == "tensor" else radial_cn_step
-    state = start_state(u, cfg)
     termination = "completed"
     t_stop = cfg.t_end * (1.0 - 1e-12)
 
@@ -366,7 +370,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         record = (steps + 1) % cfg.record_every == 0
         if record:
             h1 = hs_norm(u, 1)
-            rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1)
+            rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1, density=state.density)
             m = rec.mass
         else:
             m = mass(u)
@@ -388,13 +392,13 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
             termination = "blowup_detected"
             if not record:
-                records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
+                records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
 
     # a loop that ends by its condition has taken a step, so dt is the
     # adapted step size of the last one
     if termination == "completed" and records[-1].t < t:
-        records.append(make_record(u, cfg, dt=dt))
+        records.append(make_record(u, cfg, dt=dt, density=state.density))
     return RunOutcome(
         termination=termination,
         t_final=t,

@@ -1,8 +1,10 @@
 """Exact rational arithmetic for the exponent relations of the weighted NLS.
 
 Every quantity here is an integer, a ``fractions.Fraction``, or the infinity
-marker ``INF``.  No floating point enters this module: the admissibility and
-criticality relations are rational identities and are checked exactly.
+marker ``INF`` (``math.inf``, which every Fraction compares below exactly).
+The only other floats are the ``*_float`` views the time steppers read: the
+admissibility and criticality relations are rational identities and are
+checked exactly.
 """
 from __future__ import annotations
 
@@ -16,6 +18,9 @@ from typing import Optional, Union
 CRITICAL = "critical"
 
 LAMBDA_SIGNS = ("focusing", "defocusing", "complex")
+
+#: Symmetry classes the blow-up criterion may assume of the data.
+SYMMETRY_CLASSES = ("finite_variance", "radial", "cylindrical", "none")
 
 #: Hypothesis predicates exposed by :func:`hypothesis_report`.
 CRITERIA = (
@@ -42,42 +47,10 @@ class HypothesisViolation(ExponentError):
         self.failed = failed
 
 
-class _Infinity:
-    """Marker for an infinite exponent.  Compares above every rational."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("exponent-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-
-INF = _Infinity()
+INF = math.inf
 
 RationalLike = Union[int, str, Fraction]
-ExtendedRational = Union[Fraction, _Infinity]
+ExtendedRational = Union[Fraction, float]  # a float only as INF
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -302,11 +275,14 @@ def hypothesis_report(
 
     All conditions are evaluated and reported even after the first failure.
     ``polynomial_f`` selects the polynomial-nonlinearity branch of the
-    continuous-dependence criterion; ``symmetry='cylindrical'`` adds the
-    b >= 4-n gate of the blow-up criterion.
+    continuous-dependence criterion; ``symmetry``, None or one of
+    ``SYMMETRY_CLASSES``, is the data's symmetry, and ``'cylindrical'`` adds
+    the b >= 4-n gate of the blow-up criterion.
     """
     if criterion not in CRITERIA:
         raise ExponentError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    if symmetry is not None and symmetry not in SYMMETRY_CLASSES:
+        raise ExponentError(f"unknown symmetry {symmetry!r}; expected one of {SYMMETRY_CLASSES}")
     n, s, b = params.n, params.s, params.b
     sig = params.sigma_value
     half = Fraction(n, 2)
@@ -320,7 +296,7 @@ def hypothesis_report(
         add("0 < b < min(2, n-s, 1+(n-2s)/2)", 0 < b < cap, f"b = {fmt(b)}, bound = {fmt(cap)}")
 
     def add_critical_sigma():
-        target = critical_power(n, s, b) if s < half else INF
+        target = critical_power(n, s, b)
         add("sigma = (4-2b)/(n-2s)", sig == target, f"sigma = {fmt(sig)}, critical = {fmt(target)}")
 
     def add_even_model_case() -> bool:
@@ -344,7 +320,7 @@ def hypothesis_report(
         s_cap = min(Fraction(n), half + 1)
         add("0 <= s < min(n, n/2+1)", 0 <= s < s_cap, f"s = {fmt(s)}, bound = {fmt(s_cap)}")
         add_b_cap()
-        target = critical_power(n, s, b) if s >= 0 else INF
+        target = critical_power(n, s, b)
         add(
             "0 < sigma < critical power",
             0 < sig and sig < target,
@@ -374,7 +350,7 @@ def hypothesis_report(
         cap = min(Fraction(2), half)
         add("0 < b < min(2, n/2)", 0 < b < cap, f"b = {fmt(b)}, bound = {fmt(cap)}")
         if n >= 3:
-            target = (4 - 2 * b) / (n - 2)
+            target = critical_power(n, 1, b)
             add(
                 "sigma = (4-2b)/(n-2)",
                 sig == target,

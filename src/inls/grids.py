@@ -269,16 +269,24 @@ def _weight_values_cached(grid: GridSpec, b: float, delta: float) -> np.ndarray:
     return table
 
 
-# -- spatial integrals: each is a dot product of |u|^2 (or |u|^p) with a
-# cached table.  Radial tables carry the node weights; tensor tables are plain
-# and the sum takes the scalar cell measure.  A tensor grid caches no table
-# but the weight the run needs anyway: the variance, a sum of per-axis terms,
-# is taken from the marginals of |u|^2 (``_split_sum``).
+# -- spatial integrals: each is a dot product of |u|^2 with a cached table
+# (the weighted potential's: the run's density w |u|^sigma).  Radial tables
+# carry the node weights; tensor tables are plain and the sum takes the scalar
+# cell measure.  A tensor grid caches no table but the weight the run needs
+# anyway: the variance, a sum of per-axis terms, is taken from the marginals
+# of |u|^2 (``_split_sum``).
 
 def _abs_sq(values: np.ndarray) -> np.ndarray:
     """|values|^2 formed as re^2 + im^2 (no hypot): the density of every
-    quadratic integral."""
-    return values.real**2 + values.imag**2
+    quadratic integral.  A multi-axis array takes im^2 one axis-0 plane at
+    a time, so the result is its only full-size array."""
+    out = np.square(values.real)
+    if values.ndim == 1:
+        out += np.square(values.imag)
+    else:
+        for plane, imag in zip(out, values.imag):
+            plane += np.square(imag)
+    return out
 
 
 def _quadrature(grid: GridSpec, table: np.ndarray, density: np.ndarray) -> float:
@@ -323,38 +331,6 @@ def _shell_mass(grid: GridSpec, a2: np.ndarray) -> float:
     return float(total * grid.cell_measure)
 
 
-@lru_cache(maxsize=64)
-def _potential_table(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
-    """weight(x), times the node weights on radial grids."""
-    w = weight_values(grid, weight)
-    return w if grid.kind == "tensor" else w * radial_node_weights(grid)
-
-
-def _power_from_sq(a2: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p from a2 = |u|^2.  An integer p from 2 to 8 is built by
-    multiplication (a2^(p//2), times sqrt(a2) for odd p), like ``abs_power``;
-    any other p is a2 ** (p/2)."""
-    if float(p).is_integer() and 2 <= p <= 8:
-        half, odd = divmod(int(p), 2)
-        out = np.sqrt(a2) if odd else a2.copy()
-        for _ in range(half - 1 + odd):
-            out *= a2
-        return out
-    return a2 ** (0.5 * p)
-
-
-def _potential(grid: GridSpec, weight: PotentialWeight, sigma: float, a2: np.ndarray) -> float:
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    return _quadrature(grid, _potential_table(grid, weight), _power_from_sq(a2, sigma + 2.0))
-
-
-def _shell_fraction(grid: GridSpec, a2: np.ndarray, total: float) -> float:
-    if total == 0.0:
-        return 0.0
-    return _shell_mass(grid, a2) / total
-
-
 def mass(u: Field) -> float:
     """Squared L2 norm by the grid quadrature, summed as re^2 + im^2 (no
     hypot); tensor grids contract the (re, im) pairs with themselves and
@@ -376,23 +352,28 @@ class Moments(NamedTuple):
     max_amp: float
 
 
-def moments(u: Field, weight: PotentialWeight, sigma: float) -> Moments:
-    """mass, variance, boundary_mass_fraction, weighted_potential_integral
-    and max |u| of ``u`` in one pass: |u|^2 is formed once and each integral
-    is a dot product against a cached table (on tensor grids the shell is
-    summed as slabs and the variance from axis marginals).
-    Each value equals the single-quantity function's bit for bit."""
+def moments(u: Field, density: np.ndarray) -> Moments:
+    """mass, variance, the outer-shell mass fraction (0 for a zero field),
+    the weighted potential and max |u| of ``u`` in one pass: |u|^2 is formed
+    once and each integral is a dot product of it against a cached table
+    (on tensor grids the shell is summed as slabs and the variance from
+    axis marginals).  The weighted potential, the integral of
+    weight(x) |u|^(sigma+2), is taken as that of ``density`` * |u|^2 with
+    ``density`` = weight(x) |u|^sigma (``dynamics.nonlinear_density``)."""
     grid = u.grid
     a2 = _abs_sq(u.values)
     if grid.kind == "tensor":
         total = mass(u)
+        potential = _quadrature(grid, density, a2)
     else:
-        total = _quadrature(grid, radial_node_weights(grid), a2)
+        weights = radial_node_weights(grid)
+        total = _quadrature(grid, weights, a2)
+        potential = _quadrature(grid, weights, density * a2)
     return Moments(
         mass=total,
         variance=_variance(grid, a2),
-        boundary_mass_fraction=_shell_fraction(grid, a2, total),
-        weighted_potential=_potential(grid, weight, sigma, a2),
+        boundary_mass_fraction=_shell_mass(grid, a2) / total if total else 0.0,
+        weighted_potential=potential,
         max_amp=math.sqrt(a2.max()),
     )
 
@@ -491,16 +472,6 @@ def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarra
     return out
 
 
-def weighted_potential_integral(u: Field, weight: PotentialWeight, sigma: float) -> float:
-    """Integral of weight(x) |u|^(sigma+2)."""
-    return _potential(u.grid, weight, sigma, _abs_sq(u.values))
-
-
-def variance(u: Field) -> float:
-    """Integral of |x|^2 |u|^2."""
-    return _variance(u.grid, _abs_sq(u.values))
-
-
 def weighted_quadratic(u: Field, a) -> float:
     """Integral of a(x) |u|^2 for a callable a(*coords) evaluated on nodes."""
     grid = u.grid
@@ -525,13 +496,6 @@ def radial_laplacian_bands(grid: GridSpec):
     lower[1:] = f[:-1] / denom[1:]
     diag = -(f + f_minus) / denom
     return lower, diag, upper
-
-
-def boundary_mass_fraction(u: Field) -> float:
-    """Mass fraction in the outer 10 percent shell, the concentration
-    monitor emitted alongside variance on periodic boxes; 0 for a zero
-    field."""
-    return _shell_fraction(u.grid, _abs_sq(u.values), mass(u))
 
 
 def gaussian_field(

@@ -22,15 +22,13 @@ from inls.diagnostics import (
     phi_R_weight,
     second_difference,
     theta_cutoff,
-    virial_rhs,
 )
-from inls.dynamics import SimConfig, run
-from inls.exponents import CRITICAL, CriticalityParams, HypothesisViolation
+from inls.dynamics import SimConfig, nonlinear_density, run
+from inls.exponents import CRITICAL, CriticalityParams, ExponentError, HypothesisViolation
 from inls.grids import (
     Field,
     GridSpec,
     PotentialWeight,
-    boundary_mass_fraction,
     gaussian_field,
     hs_norm,
     mass,
@@ -38,9 +36,7 @@ from inls.grids import (
     radial_node_weights,
     radial_nodes,
     radius_sq_values,
-    variance,
     weight_values,
-    weighted_potential_integral,
 )
 from inls.ground_state import GroundStateProfile, compute_quantities
 
@@ -64,6 +60,14 @@ class TestEnergy:
     def test_large_amplitude_focusing_negative(self, focusing_radial_config):
         u = gaussian_field(focusing_radial_config.grid, 3.0, 1.0 / math.sqrt(2.0))
         assert energy(u, focusing_radial_config) < 0
+
+
+def virial_rhs(u, cfg):
+    return make_record(u, cfg, dt=cfg.dt_init).virial_rhs
+
+
+def variance(u, cfg):
+    return make_record(u, cfg, dt=cfg.dt_init).variance
 
 
 class TestVirialRhs:
@@ -146,7 +150,7 @@ class TestLocalizedVirial:
     def test_large_radius_recovers_variance(self, free_2d_config):
         u = gaussian_field(free_2d_config.grid, 1.0, 1.0)
         R = free_2d_config.grid.extent  # quadratic region covers the box
-        assert localized_virial(u, R) == pytest.approx(variance(u), rel=1e-10)
+        assert localized_virial(u, R) == pytest.approx(variance(u, free_2d_config), rel=1e-10)
 
     def test_zero_field(self, free_2d_config):
         grid = free_2d_config.grid
@@ -155,11 +159,13 @@ class TestLocalizedVirial:
     def test_radial_grid_support(self, focusing_radial_config):
         u = gaussian_field(focusing_radial_config.grid, 1.0, 1.0)
         R = 2 * focusing_radial_config.grid.r_max
-        assert localized_virial(u, R) == pytest.approx(variance(u), rel=1e-12)
+        assert localized_virial(u, R) == pytest.approx(
+            variance(u, focusing_radial_config), rel=1e-12
+        )
 
     def test_bounded_by_variance(self, free_2d_config):
         u = gaussian_field(free_2d_config.grid, 1.0, 2.0)
-        assert localized_virial(u, 2.0) <= variance(u) + 1e-12
+        assert localized_virial(u, 2.0) <= variance(u, free_2d_config) + 1e-12
 
 
 class TestThresholdFunction:
@@ -227,6 +233,13 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify_blowup(
                 ScaledGroundState(1.2), focusing_radial_config, gs_quantities, "cylindrical"
+            )
+
+    def test_rejects_misspelt_symmetry(self, focusing_radial_config, gs_quantities):
+        # a misspelling must not pass for a symmetry without the b >= 4-n gate
+        with pytest.raises(ExponentError, match="unknown symmetry 'Cylindrical'"):
+            classify_blowup(
+                ScaledGroundState(1.2), focusing_radial_config, gs_quantities, "Cylindrical"
             )
 
     def test_rejects_bubble_of_another_equation(self, focusing_radial_config):
@@ -375,15 +388,35 @@ class TestRecords:
 
     @pytest.mark.parametrize("kind, n, sigma", _RECORD_CASES)
     def test_single_quantities_equal_record(self, kind, n, sigma):
+        # run takes a non-record step's live mass from grids.mass and a
+        # record step's from the record; energy() and a passed-in density
+        # give the record's own numbers
         cfg = _record_config(kind, n, sigma)
         u = _record_field(cfg.grid)
-        record = make_record(u, cfg, dt=1e-3)
+        record = make_record(u, cfg, dt=cfg.dt_init)
         assert record.mass == mass(u)
-        assert record.variance == variance(u)
-        assert record.boundary_mass_fraction == boundary_mass_fraction(u)
-        assert record.weighted_potential == weighted_potential_integral(u, cfg.weight, cfg.sigma)
         assert record.energy == energy(u, cfg)
-        assert record.virial_rhs == virial_rhs(u, cfg)
+        assert make_record(u, cfg, cfg.dt_init, density=nonlinear_density(u, cfg)) == record
+
+    @pytest.mark.parametrize("kind", ["radial", "tensor"])
+    def test_run_records_use_the_current_density(self, kind):
+        # a run's records take the potential from the stepper's carried
+        # density; a stale one (a step behind) is off by O(dt)
+        cfg = replace(_record_config(kind, 3, Fraction(2)), t_end=0.02)
+        outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
+        assert outcome.termination == "completed" and outcome.steps == 20
+        last = outcome.series[-1]
+        fresh = make_record(outcome.final_field, cfg, last.dt)
+        if kind == "radial":
+            assert last == fresh
+            return
+        # the tensor density is taken before the unit-modulus half-phase
+        for name in CSV_COLUMNS:
+            expected = getattr(fresh, name)
+            if name in ("energy", "weighted_potential", "virial_rhs"):
+                assert abs(getattr(last, name) - expected) <= 1e-14 * abs(expected), name
+            else:
+                assert getattr(last, name) == expected, name
 
     @pytest.mark.parametrize("kind, n", [("radial", 3), ("tensor", 2)])
     def test_zero_field(self, kind, n):

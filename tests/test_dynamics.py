@@ -671,10 +671,10 @@ def _every_step_check_run(cfg, u0):
 
     u = Field(grid=u0.grid, values=u0.values.copy(), time_tag=0.0)
     h1_0 = hs_norm(u, 1)
-    records = [make_record(u, cfg, dt=cfg.dt_init)]
+    state = start_state(u, cfg)
+    records = [make_record(u, cfg, dt=cfg.dt_init, density=state.density)]
     t, steps, pinned, dt_prev = 0.0, 0, 0, cfg.dt_init
     step = strang_step if cfg.grid.kind == "tensor" else radial_cn_step
-    state = start_state(u, cfg)
     termination = "completed"
     while t < cfg.t_end * (1.0 - 1e-12):
         dt = adapt_dt(state, cfg)
@@ -698,14 +698,14 @@ def _every_step_check_run(cfg, u0):
         h1 = hs_norm(u, 1)
         recorded = steps % cfg.record_every == 0
         if recorded:
-            records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
+            records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
             termination = "blowup_detected"
             if not recorded:
-                records.append(make_record(u, cfg, dt=dt_step, h1sq=h1 * h1))
+                records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
     if termination == "completed" and records[-1].t < t:
-        records.append(make_record(u, cfg, dt=dt_prev))
+        records.append(make_record(u, cfg, dt=dt_prev, density=state.density))
     return dynamics.RunOutcome(termination, t, records, u, steps)
 
 

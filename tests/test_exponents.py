@@ -14,6 +14,7 @@ from inls.exponents import (
     HypothesisViolation,
     critical_power,
     dual_exponent_identity,
+    fmt,
     gamma_of,
     holder_time_identity,
     hypothesis_report,
@@ -36,6 +37,11 @@ class TestCriticalPower:
 
     def test_infinite_branch(self):
         assert critical_power(4, F(2), F(1, 2)) is INF
+
+    def test_infinity_orders_exactly(self):
+        huge = F(10**400, 3)  # beyond every finite float
+        assert huge < INF and INF > huge and not INF < huge and INF != huge
+        assert fmt(INF) == "inf"
 
     def test_hand_value(self):
         # (4 - 1)/(2 - 1) = 3, cross-checked by direct rational evaluation
@@ -214,6 +220,14 @@ class TestHypothesisReport:
     def test_unknown_criterion(self):
         with pytest.raises(ExponentError):
             hypothesis_report("nonsense", params(3, 1, 1))
+
+    def test_unknown_symmetry(self):
+        # a misspelt "cylindrical" must not silently drop the b >= 4-n gate
+        for criterion in ("blowup_criterion", "critical_lwp"):
+            with pytest.raises(ExponentError, match="unknown symmetry 'Cylindrical'"):
+                hypothesis_report(criterion, params(3, 1, F(1, 2)), symmetry="Cylindrical")
+        for symmetry in (None, "finite_variance", "radial", "cylindrical", "none"):
+            hypothesis_report("blowup_criterion", params(3, 1, F(1, 2)), symmetry=symmetry)
 
 
 class TestRegionComparison:

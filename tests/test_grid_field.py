@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import inls
-from inls import dynamics
+from inls import dynamics, grids
 from inls.grids import (
     Field,
     GridSpec,
     PotentialWeight,
     abs_power,
-    boundary_mass_fraction,
     dump_field,
     gaussian_field,
     hs_norm,
@@ -28,14 +27,13 @@ from inls.grids import (
     load_field,
     mass,
     mesh,
+    moments,
     radial_face_coefficients,
     radial_laplacian_bands,
     radial_node_weights,
     radial_nodes,
     radius_sq_values,
-    variance,
     weight_values,
-    weighted_potential_integral,
     weighted_quadratic,
     wavenumber_sq_values,
 )
@@ -44,6 +42,21 @@ from inls.ground_state import GroundStateProfile, sample_on_grid, sphere_area
 
 def normalized_gaussian(grid):
     return gaussian_field(grid, amplitude=math.pi ** (-grid.n / 4.0), width=1.0)
+
+
+def variance(u):
+    """The record's variance; the density feeds only the potential."""
+    return moments(u, np.zeros(u.grid.shape)).variance
+
+
+def boundary_mass_fraction(u):
+    return moments(u, np.zeros(u.grid.shape)).boundary_mass_fraction
+
+
+def weighted_potential(u, weight, sigma):
+    """The record's weighted potential, from the density w |u|^sigma."""
+    density = abs_power(u.values, sigma) * weight_values(u.grid, weight)
+    return moments(u, density).weighted_potential
 
 
 class TestGridSpec:
@@ -278,6 +291,15 @@ class TestMassSumOfSquares:
         u = Field(grid, values[:, ::2])
         assert mass(u) == pytest.approx(mass(Field(grid, u.values.copy())), rel=1e-15)
 
+    @pytest.mark.parametrize("shape", [(64,), (16, 8), (8, 4, 4)])
+    def test_planewise_squares_equal_the_whole_array_formula(self, shape):
+        # |u|^2 built one axis-0 plane at a time rounds as re^2 + im^2 does
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values *= np.exp(8.0 * rng.standard_normal(shape))
+        for v in (values, values[..., ::-1]):  # contiguous and strided
+            assert np.array_equal(grids._abs_sq(v), v.real**2 + v.imag**2)
+
 
 # -- hs_norm(u, 1)**2 <= laplacian_norm_bound(grid) * mass(u) ---------------
 
@@ -420,14 +442,14 @@ class TestWeightedIntegrals:
     def test_zero_field(self):
         grid = GridSpec.radial(3, 8.0, 64)
         w = PotentialWeight(b=0.5, delta=0.0)
-        assert weighted_potential_integral(Field(grid, np.zeros(64)), w, 3.0) == 0.0
+        assert weighted_potential(Field(grid, np.zeros(64)), w, 3.0) == 0.0
 
     def test_b_zero_reduces_to_plain_integral(self):
         grid = GridSpec.radial(3, 10.0, 512)
         u = gaussian_field(grid, 1.1, 1.0)
         w = PotentialWeight(b=0.0, delta=0.0)
         plain = float(np.sum(np.abs(u.values) ** 4 * radial_node_weights(grid)))
-        assert weighted_potential_integral(u, w, 2.0) == pytest.approx(plain, rel=1e-14)
+        assert weighted_potential(u, w, 2.0) == pytest.approx(plain, rel=1e-14)
 
     def test_radial_against_quad_oracle(self):
         grid = GridSpec.radial(3, 12.0, 4096)
@@ -439,7 +461,7 @@ class TestWeightedIntegrals:
             return r ** (2 - 0.5) * math.exp(-r ** 2 / 2) ** 5
 
         oracle, _ = quad(integrand, 0, np.inf)
-        assert weighted_potential_integral(u, w, 3.0) == pytest.approx(
+        assert weighted_potential(u, w, 3.0) == pytest.approx(
             sphere * oracle, rel=1e-4
         )
 
@@ -447,8 +469,8 @@ class TestWeightedIntegrals:
         grid = GridSpec.tensor(2, 10.0, 32)
         u = gaussian_field(grid, 1.0, 1.0)
         with pytest.raises(ValueError):
-            weighted_potential_integral(u, PotentialWeight(b=0.5, delta=0.0), 2.0)
-        value = weighted_potential_integral(
+            weighted_potential(u, PotentialWeight(b=0.5, delta=0.0), 2.0)
+        value = weighted_potential(
             u, PotentialWeight(b=0.5, delta=grid.spacing), 2.0
         )
         assert value > 0
