@@ -1,8 +1,8 @@
 """Command-line surface: parameter checks, admissible pairs, ground-state
 constants, simulation runs, and virial reports.
 
-Exit codes: 0 ok, 1 usage/parse, 2 hypothesis-fail, 3 quadrature-fail,
-4 runtime-numeric.
+Exit codes: 0 ok, 1 usage/parse, 2 hypothesis-fail, 4 runtime-numeric
+(3, once quadrature failure, is retired).
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .grids import Field, GridSpec, PotentialWeight
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
-EXIT_QUADRATURE = 3
 EXIT_RUNTIME = 4
 
 MAX_DENOMINATOR = 10**6
@@ -402,10 +401,9 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
-def _ground_state_payload(n, b, eps, tol):
-    quad = ground_state.QuadratureSpec(tol=tol)
-    base = ground_state.compute_quantities(ground_state.GroundStateProfile(n, b, eps), quad)
-    doubled = ground_state.compute_quantities(ground_state.GroundStateProfile(n, b, 2 * eps), quad)
+def _ground_state_payload(n, b, eps):
+    base = ground_state.compute_quantities(ground_state.GroundStateProfile(n, b, eps))
+    doubled = ground_state.compute_quantities(ground_state.GroundStateProfile(n, b, 2 * eps))
     pohozaev = abs(base.h1dot_sq - base.potential_integral) / base.h1dot_sq
     spread = abs(base.c_hs - doubled.c_hs) / base.c_hs
     return {
@@ -424,10 +422,7 @@ def _ground_state_payload(n, b, eps, tol):
 
 def cmd_ground_state(args) -> int:
     try:
-        payload = _ground_state_payload(args.n, args.b, args.eps, args.tol)
-    except ground_state.QuadratureError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
+        payload = _ground_state_payload(args.n, args.b, args.eps)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -465,6 +460,13 @@ def cmd_simulate(args) -> int:
         grids.thread_count()  # a bad INLS_THREADS stops the run before it starts
         config = load_config(args.config)
         u0 = config.build_initial_field()
+        verdicts = {
+            criterion: exponents.hypothesis_report(criterion, config.params)
+            for criterion in exponents.CRITERIA
+        }
+        # the classifier's bubble constants, before any run directory exists
+        blowup_scope = verdicts["blowup_criterion"].holds and config.lam < 0
+        gs = ground_state.compute_quantities(config.profile()) if blowup_scope else None
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -488,10 +490,6 @@ def cmd_simulate(args) -> int:
     if config.dump_fields:
         grids.dump_field(outcome.final_field, run_dir / "field_final.bin", meta)
 
-    verdicts = {
-        criterion: exponents.hypothesis_report(criterion, config.params)
-        for criterion in exponents.CRITERIA
-    }
     report = {
         "config": canonical,
         "verdicts": {
@@ -513,9 +511,7 @@ def cmd_simulate(args) -> int:
         report["files"]["field_initial"] = "field_initial.bin"
         report["files"]["field_final"] = "field_final.bin"
 
-    blowup_scope = verdicts["blowup_criterion"].holds and config.lam < 0
     if blowup_scope:
-        gs = ground_state.compute_quantities(config.profile())
         symmetry = "radial" if config.grid.kind == "radial" else "finite_variance"
         if config.initial["type"] == "ground_state_scaled":
             data = diagnostics.ScaledGroundState(config.initial["scale_c"])
@@ -613,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs.add_argument("--n", type=int, required=True)
     p_gs.add_argument("--b", type=float, required=True)
     p_gs.add_argument("--eps", type=float, default=1.0)
-    p_gs.add_argument("--tol", type=float, default=1e-12)
     p_gs.add_argument("--json", default=None, help="also write a JSON record here")
     p_gs.set_defaults(func=cmd_ground_state)
 

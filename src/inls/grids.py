@@ -125,9 +125,6 @@ class Field:
             )
         self.values = values
 
-    def copy(self) -> "Field":
-        return Field(grid=self.grid, values=self.values.copy(), time_tag=self.time_tag)
-
 
 @dataclass(frozen=True)
 class PotentialWeight:

@@ -8,8 +8,6 @@ from scipy.optimize import minimize_scalar
 
 from inls.ground_state import (
     GroundStateProfile,
-    QuadratureError,
-    QuadratureSpec,
     compute_quantities,
     scaled_energy_ratio,
     sphere_area,
@@ -104,22 +102,45 @@ class TestQuantities:
             0.5 * q.h1dot_sq - q.potential_integral / (q.profile.sigma1 + 2), rel=1e-14
         )
 
-    def test_quadrature_nonconvergence_signalled(self):
-        # max_refine = 0 leaves no comparison pass, so convergence can
-        # never be certified
-        spec = QuadratureSpec(tol=1e-30, max_refine=0)
-        with pytest.raises(QuadratureError):
-            compute_quantities(GroundStateProfile(3, 0.5, 1.0), spec)
+    @pytest.mark.parametrize("n, b", [(5, 1.9), (6, 1.9), (7, 1.9)])
+    def test_matches_mpmath_near_b_two(self, n, b):
+        # 40-digit quadrature of both kernels at eps = 1; the integrals do
+        # not depend on eps (W_eps is a dilation of W_1 that keeps both)
+        with mpmath.workdps(40):
+            n_, b_ = mpmath.mpf(n), mpmath.mpf(b)
+            q, k = 2 - b_, (n_ - 2) / (2 - b_)
+            amp = ((n_ - b_) * (n_ - 2)) ** (k / 2)
+            sig1 = (4 - 2 * b_) / (n_ - 2)
+            area = 2 * mpmath.pi ** (n_ / 2) / mpmath.gamma(n_ / 2)
+            pts = [0, mpmath.mpf("0.01"), 1, 100, mpmath.inf]
+            h1 = area * mpmath.quad(
+                lambda r: (amp * k * q * r ** (1 - b_) / (1 + r**q) ** (k + 1)) ** 2 * r ** (n_ - 1),
+                pts,
+            )
+            pot = area * mpmath.quad(
+                lambda r: r ** (n_ - 1 - b_) * (amp / (1 + r**q) ** k) ** (sig1 + 2), pts
+            )
+        for eps in (0.01, 1.0, 100.0):
+            quantities = compute_quantities(GroundStateProfile(n, b, eps))
+            assert quantities.h1dot_sq == pytest.approx(float(h1), rel=1e-12)
+            assert quantities.potential_integral == pytest.approx(float(pot), rel=1e-12)
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(tol=0.0)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_pohozaev_and_epsilon_spread_at_roundoff(self, n):
+        for b in (0.0, 0.25, 0.5, 1.0, 1.5, 1.9):
+            qs = [compute_quantities(GroundStateProfile(n, b, eps)) for eps in (0.01, 1.0, 100.0)]
+            for q in qs:
+                assert abs(q.h1dot_sq - q.potential_integral) / q.h1dot_sq <= 1e-12
+            c_hs = [q.c_hs for q in qs]
+            assert (max(c_hs) - min(c_hs)) / c_hs[1] <= 1e-12
 
-    def test_explicit_r_max_honoured(self):
-        # fixing the panel range still converges thanks to the analytic tail
-        spec = QuadratureSpec(r_min=1e-6, r_max=1e6)
-        q = compute_quantities(GroundStateProfile(3, 0.5, 1.0), spec)
-        assert q.h1dot_sq == pytest.approx(closed_form_h1(3, 0.5), rel=1e-10)
+    def test_out_of_range_bubble_is_a_value_error(self):
+        # n = 7, b = 1.99: the amplitude (eps * 5.01 * 5)^250 overflows at
+        # eps = 1; at eps = 0.01 it is finite but both integrals overflow
+        with pytest.raises(ValueError, match="amplitude"):
+            GroundStateProfile(7, 1.99, 1.0)
+        with pytest.raises(ValueError, match="integrals"):
+            compute_quantities(GroundStateProfile(7, 1.99, 0.01))
 
 
 class TestScaledEnergy:

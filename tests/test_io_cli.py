@@ -16,7 +16,6 @@ from inls import cli
 from inls.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
-    EXIT_QUADRATURE,
     EXIT_USAGE,
     ConfigError,
     RunConfig,
@@ -218,17 +217,23 @@ class TestGroundStateCommand:
         assert payload["pohozaev_residual"] < 1e-8
         assert payload["c_hs_epsilon_spread"] < 1e-8
 
-    def test_quadrature_failure_exit(self, capsys, monkeypatch):
-        from inls import ground_state as gs_module
+    def test_near_b_two_report(self, tmp_path, capsys):
+        json_path = tmp_path / "gs.json"
+        code = cli.main(["ground-state", "--n", "6", "--b", "1.9", "--json", str(json_path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        payload = json.loads(json_path.read_text())
+        assert payload["pohozaev_residual"] < 1e-12
+        assert payload["c_hs_epsilon_spread"] < 1e-12
 
-        def fail(*args, **kwargs):
-            raise gs_module.QuadratureError("forced")
-
-        monkeypatch.setattr(cli.ground_state, "compute_quantities", fail)
-        code = cli.main(["ground-state", "--n", "3", "--b", "0.5"])
-        assert code == EXIT_QUADRATURE
+    def test_overflowing_bubble_is_parameter_error(self, capsys):
+        code = cli.main(["ground-state", "--n", "7", "--b", "1.99"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("parameter error:")
 
     def test_bad_tolerance_is_usage_error(self, capsys):
+        # there is no --tol option: the bubble constants are in closed form
         code = cli.main(["ground-state", "--n", "3", "--b", "0.5", "--tol", "0"])
         assert code == EXIT_USAGE
 
@@ -459,6 +464,43 @@ class TestSimulateCommand:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["classification"]["case"] == "no_verdict"
         assert report["verdicts"]["blowup_criterion"]["holds"] is True
+
+    def _focusing_n7(self, tmp_path, b, initial):
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 7, "s": 1, "b": b, "sigma": "auto", "lambda": -1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 16.0, "points": 128}
+        raw["time"] = {"dt_init": 1e-3, "dt_min": 1e-12, "t_end": 0.01, "record_every": 5}
+        raw["initial"] = initial
+        return write_config(tmp_path, raw)
+
+    def test_n7_near_b_two_is_classified(self, tmp_path, capsys):
+        path = self._focusing_n7(
+            tmp_path, "19/10", {"type": "gaussian", "amplitude": 0.5, "width": 1.0}
+        )
+        code = cli.main(["simulate", str(path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        run_dir = next((tmp_path / "runs").iterdir())
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["verdicts"]["blowup_criterion"]["holds"] is True
+        assert report["classification"]["case"] == "no_verdict"
+        assert math.isfinite(report["classification"]["e_w"])
+
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            {"type": "gaussian", "amplitude": 0.5, "width": 1.0},
+            {"type": "ground_state_scaled", "scale_c": 0.5},
+        ],
+        ids=["gaussian", "ground_state_scaled"],
+    )
+    def test_overflowing_bubble_refused_before_run(self, tmp_path, capsys, initial):
+        path = self._focusing_n7(tmp_path, "199/100", initial)
+        code = cli.main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "bubble" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_non_finite_exits_four(self, tmp_path, capsys):
         from inls.grids import Field, GridSpec, dump_field
