@@ -305,7 +305,11 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"initial.width: {exc}") from exc
         if init["type"] == "ground_state_scaled":
-            return ground_state.sample_on_grid(self.profile(), self.grid, scale=init["scale_c"])
+            field = ground_state.sample_on_grid(self.profile(), self.grid, scale=init["scale_c"])
+            peak = float(np.abs(field.values).max())  # its square enters every diagnostic
+            if peak * peak < np.finfo(float).tiny:
+                raise ConfigError(f"the sampled bubble underflows (max |u0| = {peak:.3g})")
+            return field
         field, _ = grids.load_field(init["path"])
         if field.grid != self.grid:
             raise ConfigError("field dump grid does not match config grid")
@@ -401,16 +405,18 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
-def _ground_state_payload(n, b, eps):
-    base = ground_state.compute_quantities(ground_state.GroundStateProfile(n, b, eps))
-    doubled = ground_state.compute_quantities(ground_state.GroundStateProfile(n, b, 2 * eps))
+def _ground_state_payload(n, b: Fraction, eps):
+    """The bubble's constants, with b and sigma1 = (4-2b)/(n-2) exact."""
+    profile = ground_state.GroundStateProfile(n, float(b), eps)
+    base = ground_state.compute_quantities(profile)
+    doubled = ground_state.compute_quantities(dataclasses.replace(profile, epsilon=2 * eps))
     pohozaev = abs(base.h1dot_sq - base.potential_integral) / base.h1dot_sq
     spread = abs(base.c_hs - doubled.c_hs) / base.c_hs
     return {
         "n": n,
-        "b": b,
+        "b": fmt(b),
         "epsilon": eps,
-        "sigma1": base.profile.sigma1,
+        "sigma1": float(exponents.critical_power(n, 1, b)),
         "h1dot_sq": base.h1dot_sq,
         "potential_integral": base.potential_integral,
         "c_hs": base.c_hs,
@@ -422,13 +428,12 @@ def _ground_state_payload(n, b, eps):
 
 def cmd_ground_state(args) -> int:
     try:
-        payload = _ground_state_payload(args.n, args.b, args.eps)
+        payload = _ground_state_payload(args.n, parse_rational(args.b), args.eps)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for key, value in payload.items():
-        text = format_float(value) if isinstance(value, float) else str(value)
-        print(f"{key:>24} = {text}")
+        print(f"{key:>24} = {value}")  # a float in its shortest round-trip form
     if args.json:
         Path(args.json).write_text(_json_text(payload) + "\n", encoding="utf-8")
         print(f"wrote {args.json}")
@@ -607,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gs = sub.add_parser("ground-state", help="sharp-constant quantities of the explicit bubble")
     p_gs.add_argument("--n", type=int, required=True)
-    p_gs.add_argument("--b", type=float, required=True)
+    p_gs.add_argument("--b", required=True)
     p_gs.add_argument("--eps", type=float, default=1.0)
     p_gs.add_argument("--json", default=None, help="also write a JSON record here")
     p_gs.set_defaults(func=cmd_ground_state)

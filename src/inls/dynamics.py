@@ -49,7 +49,7 @@ from .grids import (
     hs_norm,
     laplacian_norm_bound,
     mass,
-    radial_laplacian_bands,
+    radial_geometry,
     thread_count,
     wavenumber_sq_values,
     weight_values,
@@ -239,20 +239,6 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
     return out, state
 
 
-@lru_cache(maxsize=64)
-def _radial_band_table(grid: GridSpec) -> np.ndarray:
-    """The radial Laplacian's bands in ``solve_banded`` layout (rows: upper,
-    diagonal, lower), complex, read-only; a step copies it and rewrites only
-    the diagonal."""
-    lower, diag, upper = radial_laplacian_bands(grid)
-    table = np.zeros((3, grid.points), dtype=np.complex128)
-    table[0, 1:] = upper[:-1]
-    table[1] = diag
-    table[2, :-1] = lower[1:]
-    table.flags.writeable = False
-    return table
-
-
 def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] = None):
     """One relaxed Crank-Nicolson step on a radial grid.
 
@@ -263,8 +249,9 @@ def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepStat
     is taken in its Cayley form u_next = (4i/dt) B^-1 u - u, where
     B = M + (2i/dt) I: since (1 + i dt/2 M) u = 2u - (1 - i dt/2 M) u, one
     tridiagonal solve with u itself as right-hand side and no matrix product.
-    B's off-diagonals are the real Laplacian bands, independent of dt and
-    phi.  ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None);
+    B's off-diagonals are the real Laplacian bands of the grid's geometry,
+    independent of dt and phi: a step copies them and rewrites only the
+    diagonal.  ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None);
     ``u`` is left unmodified.
 
     Returns ``(field, state)`` with ``state`` refilled for the new field.
@@ -274,7 +261,7 @@ def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepStat
     if state is None:
         state = start_state(u, cfg)
     grid = u.grid
-    ab = _radial_band_table(grid).copy()
+    ab = radial_geometry(grid).bands.copy()
     centre = ab[1]
     if cfg.lam != 0.0:
         density = state.density

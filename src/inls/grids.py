@@ -7,10 +7,15 @@ Two grid kinds:
   xi = 2 pi k / L, k in {-N/2, ..., N/2-1}.
 * ``radial``: cell-centered uniform radial line for n >= 3; nodes at
   (j+1/2) h with h = r_max / N so the singular weight never sees r = 0.
-  Quadrature weight S_{n-1} r^(n-1) h per node.  The radial Laplacian is a
-  flux-form tridiagonal stencil built to be self-adjoint with respect to
+  Every radial formula reads one cached ``radial_geometry(grid)``: the node
+  radii, the node weights S_{n-1} r^(n-1) h (the quadrature), the spacing
+  and the face conductances.  The radial Laplacian is a flux-form
+  tridiagonal stencil built from them to be self-adjoint with respect to
   exactly that quadrature (so Crank-Nicolson steps conserve the discrete
   mass) and exact on quadratics at every node including the innermost cell.
+  The last conductance is the outer face's (Dirichlet: u = 0 beyond r_max);
+  the stencil and the H1 seminorm both read it, so they cannot disagree
+  about the boundary.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +48,6 @@ def thread_count() -> int:
     if count < 1:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {value!r}")
     return count
-
-
-def _fftn(a):
-    return scipy.fft.fftn(a, workers=thread_count())
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def mesh(grid: GridSpec):
     """Coordinate arrays: n sparse, broadcastable axes for tensor grids
     (``np.broadcast_arrays`` makes them dense), (r,) for radial."""
     if grid.kind == "radial":
-        return (radial_nodes(grid),)
+        return (radial_geometry(grid).radii,)
     return tuple(_sparse_axes(_axis(grid), grid.n))
 
 
@@ -189,7 +190,7 @@ def radius_sq_values(grid: GridSpec) -> np.ndarray:
     """|x|^2 at every node, built on each call (a tensor grid keeps no
     full-size copy); the caller owns the array."""
     if grid.kind == "radial":
-        return radial_nodes(grid) ** 2
+        return radial_geometry(grid).radii ** 2
     return _sum_of_squares(mesh(grid), grid.shape)
 
 
@@ -223,33 +224,66 @@ def _split_sum(grid: GridSpec, spectral: bool, a: np.ndarray) -> float:
     return float(np.sum(first * rows) + np.sum(rest[:, None] * cols))
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class RadialGeometry:
+    """A radial grid's node radii r_j, node weights D_j = S_{n-1} r_j^(n-1) h,
+    spacing h and face conductances f_{j+1/2}, as read-only arrays; all but
+    the radii are built on first use.  f_{j+1/2} = n h sum_{i<=j} r_i^(n-1)
+    / r_{j+1/2} makes the stencil self-adjoint under D and exact on r^2 at
+    every node; the plain midpoint choice r_{j+1/2}^(n-1) is O(1) wrong in
+    the first cell.  The last entry is the outer face's conductance, in the
+    units of the others: f_{N-1/2}, across which u jumps to 0 (Dirichlet)."""
+
+    n: int
+    r_max: float
+    spacing: float
+    radii: np.ndarray
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _frozen(sphere_area(self.n) * self.radii ** (self.n - 1) * self.spacing)
+
+    @cached_property
+    def conductances(self) -> np.ndarray:
+        n, h, r = self.n, self.spacing, self.radii
+        return _frozen(n * h * np.cumsum(r ** (n - 1)) / ((np.arange(r.size) + 1.0) * h))
+
+    @cached_property
+    def bands(self) -> np.ndarray:
+        """The radial Laplacian (flux through face j+1/2 is f_{j+1/2} times
+        the jump, none through r = 0) in ``solve_banded`` layout (rows:
+        upper, diagonal, lower), complex, read-only."""
+        h, f = self.spacing, self.conductances
+        denom = self.radii ** (self.n - 1) * h * h
+        table = np.zeros((3, f.size), dtype=np.complex128)
+        table[0, 1:] = f[:-1] / denom[:-1]
+        table[1] = -(f + np.concatenate(([0.0], f[:-1]))) / denom
+        table[2, :-1] = f[:-1] / denom[1:]
+        return _frozen(table)
+
+    @cached_property
+    def variance_table(self) -> np.ndarray:
+        """r^2 times the node weights."""
+        return _frozen(self.radii**2 * self.weights)
+
+    @cached_property
+    def shell_table(self) -> np.ndarray:
+        """The node weights where r >= 0.9 r_max, 0 elsewhere."""
+        return _frozen(np.where(self.radii >= 0.9 * self.r_max, self.weights, 0.0))
+
+
 @lru_cache(maxsize=64)
-def radial_nodes(grid: GridSpec) -> np.ndarray:
+def radial_geometry(grid: GridSpec) -> RadialGeometry:
+    """The one radial table of ``grid``, and the only radial reader of its spacing."""
     if grid.kind != "radial":
-        raise ValueError("radial nodes are defined on radial grids only")
+        raise ValueError("radial geometry is defined on radial grids only")
     h = grid.spacing
-    return (np.arange(grid.points) + 0.5) * h
-
-
-@lru_cache(maxsize=64)
-def radial_node_weights(grid: GridSpec) -> np.ndarray:
-    """Quadrature weights S_{n-1} r^(n-1) h at each node."""
-    r = radial_nodes(grid)
-    return sphere_area(grid.n) * r ** (grid.n - 1) * grid.spacing
-
-
-@lru_cache(maxsize=64)
-def radial_face_coefficients(grid: GridSpec) -> np.ndarray:
-    """Face conductivities f_{j+1/2} of the radial Laplacian.
-
-    f_{j+1/2} = n h sum_{i<=j} r_i^(n-1) / r_{j+1/2} makes the stencil
-    self-adjoint under the node weights and exact on r^2 at every node; the
-    plain midpoint choice r_{j+1/2}^(n-1) is O(1) wrong in the first cell.
-    """
-    n, h = grid.n, grid.spacing
-    r = radial_nodes(grid)
-    faces = (np.arange(grid.points) + 1.0) * h
-    return n * h * np.cumsum(r ** (n - 1)) / faces
+    return RadialGeometry(grid.n, grid.r_max, h, _frozen((np.arange(grid.points) + 0.5) * h))
 
 
 def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
@@ -294,22 +328,10 @@ def _quadrature(grid: GridSpec, table: np.ndarray, density: np.ndarray) -> float
     return float(np.dot(table, density))
 
 
-@lru_cache(maxsize=64)
-def _variance_table(grid: GridSpec) -> np.ndarray:
-    """r^2 times the node weights (radial grids)."""
-    return radius_sq_values(grid) * radial_node_weights(grid)
-
-
 def _variance(grid: GridSpec, a2: np.ndarray) -> float:
     if grid.kind == "radial":
-        return _quadrature(grid, _variance_table(grid), a2)
+        return _quadrature(grid, radial_geometry(grid).variance_table, a2)
     return _split_sum(grid, False, a2) * grid.cell_measure
-
-
-@lru_cache(maxsize=64)
-def _radial_shell_table(grid: GridSpec) -> np.ndarray:
-    """The node weights where r >= 0.9 r_max, 0 elsewhere."""
-    return np.where(radial_nodes(grid) >= 0.9 * grid.r_max, radial_node_weights(grid), 0.0)
 
 
 def _shell_mass(grid: GridSpec, a2: np.ndarray) -> float:
@@ -318,7 +340,7 @@ def _shell_mass(grid: GridSpec, a2: np.ndarray) -> float:
     as disjoint slabs (axis k outside the cut, the axes before it inside),
     views of a2, so no mask is built or kept."""
     if grid.kind == "radial":
-        return _quadrature(grid, _radial_shell_table(grid), a2)
+        return _quadrature(grid, radial_geometry(grid).shell_table, a2)
     inner = np.flatnonzero(np.abs(_axis(grid)) < 0.45 * grid.extent)
     core = slice(inner[0], inner[-1] + 1)
     total = 0.0
@@ -336,7 +358,7 @@ def mass(u: Field) -> float:
     if grid.kind == "tensor":
         pairs = np.ascontiguousarray(u.values).view(np.float64).ravel()
         return float(np.einsum("i,i->", pairs, pairs) * grid.cell_measure)
-    return _quadrature(grid, radial_node_weights(grid), _abs_sq(u.values))
+    return _quadrature(grid, radial_geometry(grid).weights, _abs_sq(u.values))
 
 
 class Moments(NamedTuple):
@@ -363,7 +385,7 @@ def moments(u: Field, density: np.ndarray) -> Moments:
         total = mass(u)
         potential = _quadrature(grid, density, a2)
     else:
-        weights = radial_node_weights(grid)
+        weights = radial_geometry(grid).weights
         total = _quadrature(grid, weights, a2)
         potential = _quadrature(grid, weights, density * a2)
     return Moments(
@@ -392,9 +414,9 @@ def laplacian_norm_bound(grid: GridSpec) -> float:
     """
     if grid.kind == "tensor":
         return grid.n * float(np.max(_wavenumber_axis(grid) ** 2))
-    lower, diag, upper = radial_laplacian_bands(grid)
-    coupling = np.sqrt(upper[:-1] * lower[1:])
-    rows = np.abs(diag)
+    bands = radial_geometry(grid).bands.real
+    coupling = np.sqrt(bands[0, 1:] * bands[2, :-1])
+    rows = np.abs(bands[1])
     rows[:-1] += coupling
     rows[1:] += coupling
     return float(rows.max())
@@ -404,9 +426,9 @@ def hs_norm(u: Field, s: float) -> float:
     """Homogeneous Sobolev seminorm of order s.
 
     Tensor grids use the spectral multiplier |xi|^s for any s >= 0; radial
-    grids support s = 0 and s = 1 (face differences with the outer Dirichlet
-    contribution), matching the discrete Dirichlet form of the radial
-    Laplacian.
+    grids support s = 0 and s = 1: <u, -L_h u> in the node weights, summed
+    over the faces of the geometry, the outer one included, so it is the
+    discrete Dirichlet form of the radial Laplacian.
     """
     if s < 0:
         raise ValueError("order s must be >= 0")
@@ -414,13 +436,14 @@ def hs_norm(u: Field, s: float) -> float:
         return math.sqrt(mass(u))
     grid = u.grid
     if grid.kind == "tensor":
-        # sum of multiplier * |uhat|^2: square the FFT output in place as
-        # (re, im) pairs.  s = 1 takes |xi|^2 = xi_0^2 + |xi'|^2 from the
-        # marginals of the squares and builds no full-size table; other s
-        # build |xi|^(2s) for the call.  einsum stays in NumPy; np.dot would
-        # hand a product this long to OpenBLAS threads, which then compete
-        # with the FFT workers
-        pairs = _fftn(u.values).view(np.float64)
+        # sum of multiplier * |uhat|^2: transform a copy in place and square
+        # the output in place as (re, im) pairs.  s = 1 takes |xi|^2 =
+        # xi_0^2 + |xi'|^2 from the marginals of the squares and builds no
+        # full-size table; other s build |xi|^(2s) for the call.  einsum
+        # stays in NumPy; np.dot would hand a product this long to OpenBLAS
+        # threads, which then compete with the FFT workers
+        uhat = scipy.fft.fftn(u.values.copy(), workers=thread_count(), overwrite_x=True)
+        pairs = uhat.view(np.float64)
         pairs *= pairs
         if s == 1:
             with np.errstate(invalid="ignore"):  # 0 * inf, handled below
@@ -436,15 +459,14 @@ def hs_norm(u: Field, s: float) -> float:
         return math.sqrt(total * grid.cell_measure / u.values.size)
     if s != 1:
         raise ValueError("radial grids support only s = 0 and s = 1")
-    h = grid.spacing
-    f = radial_face_coefficients(grid)
+    geometry = radial_geometry(grid)
     v = u.values
     diff = np.empty_like(v)
     np.subtract(v[1:], v[:-1], out=diff[:-1])
-    diff[-1] = -v[-1]  # Dirichlet: u = 0 beyond r_max
+    diff[-1] = -v[-1]  # the outer face: u = 0 beyond r_max
     pairs = diff.view(np.float64).reshape(-1, 2)
     pairs *= pairs  # |diff|^2 as (re^2, im^2) pairs, summed against f at once
-    total = sphere_area(grid.n) * np.dot(f, pairs).sum() / h
+    total = sphere_area(grid.n) * np.dot(geometry.conductances, pairs).sum() / geometry.spacing
     return math.sqrt(float(total))
 
 
@@ -474,25 +496,8 @@ def weighted_quadratic(u: Field, a) -> float:
     grid = u.grid
     table = np.broadcast_to(np.asarray(a(*mesh(grid)), dtype=float), grid.shape)
     if grid.kind == "radial":
-        table = table * radial_node_weights(grid)
+        table = table * radial_geometry(grid).weights
     return _quadrature(grid, table, _abs_sq(u.values))
-
-
-@lru_cache(maxsize=64)
-def radial_laplacian_bands(grid: GridSpec):
-    """(lower, diag, upper) bands of the radial Laplacian; lower[0] and
-    upper[-1] are zero padding."""
-    h = grid.spacing
-    r = radial_nodes(grid)
-    f = radial_face_coefficients(grid)
-    denom = r ** (grid.n - 1) * h * h
-    f_minus = np.concatenate(([0.0], f[:-1]))
-    upper = np.zeros(grid.points)
-    upper[:-1] = f[:-1] / denom[:-1]
-    lower = np.zeros(grid.points)
-    lower[1:] = f[:-1] / denom[1:]
-    diag = -(f + f_minus) / denom
-    return lower, diag, upper
 
 
 def gaussian_field(

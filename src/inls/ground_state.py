@@ -155,10 +155,10 @@ def scaled_energy_ratio(c: float, quantities: GroundStateQuantities):
 
 def sample_on_grid(profile: GroundStateProfile, grid, scale: float = 1.0):
     """Sample scale * W on a grid (radial nodes, or |x| on a tensor grid)."""
-    from .grids import Field, radial_nodes, radius_sq_values
+    from .grids import Field, radial_geometry, radius_sq_values
 
     if grid.kind == "radial":
-        r = radial_nodes(grid)
+        r = radial_geometry(grid).radii
     else:
         if grid.n != profile.n:
             raise ValueError("tensor grid dimension must match the profile")

@@ -33,8 +33,7 @@ from inls.grids import (
     hs_norm,
     mass,
     mesh,
-    radial_node_weights,
-    radial_nodes,
+    radial_geometry,
     radius_sq_values,
     weight_values,
 )
@@ -308,7 +307,7 @@ def _old_record_fields(u, cfg, h1sq):
     def integrate(density):
         if grid.kind == "tensor":
             return float(np.sum(density) * grid.cell_measure)
-        return float(np.sum(density * radial_node_weights(grid)))
+        return float(np.sum(density * radial_geometry(grid).weights))
 
     v = u.values
     density = np.abs(v) ** 2
@@ -319,12 +318,12 @@ def _old_record_fields(u, cfg, h1sq):
             shell |= np.abs(c) >= 0.45 * grid.extent
         outer = float(np.sum(density[shell]) * grid.cell_measure)
     else:
-        shell = radial_nodes(grid) >= 0.9 * grid.r_max
-        outer = float(np.sum((density * radial_node_weights(grid))[shell]))
+        shell = radial_geometry(grid).radii >= 0.9 * grid.r_max
+        outer = float(np.sum((density * radial_geometry(grid).weights)[shell]))
     total = integrate(density)
     n, sig, b = grid.n, cfg.sigma, float(cfg.params.b)
     return {
-        "mass": float(np.dot(radial_node_weights(grid), v.real**2 + v.imag**2))
+        "mass": float(np.dot(radial_geometry(grid).weights, v.real**2 + v.imag**2))
         if grid.kind == "radial"
         else total,
         "energy": 0.5 * h1sq + cfg.lam / (sig + 2.0) * pot,

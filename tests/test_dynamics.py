@@ -31,7 +31,7 @@ from inls.grids import (
     laplacian_norm_bound,
     mass,
     mesh,
-    radial_laplacian_bands,
+    radial_geometry,
     wavenumber_sq_values,
     weight_values,
 )
@@ -334,16 +334,16 @@ def _reference_radial_step(v, cfg, dt, phi):
     if phi is None:
         phi = density
     phi_next = 2.0 * density - phi
-    lower, diag, upper = radial_laplacian_bands(grid)
+    upper, diag, lower = radial_geometry(grid).bands.real  # solve_banded rows
     m_diag = diag - cfg.lam * phi_next
     half = 0.5j * dt
     rhs = v + half * (m_diag * v)
-    rhs[:-1] += half * upper[:-1] * v[1:]
-    rhs[1:] += half * lower[1:] * v[:-1]
+    rhs[:-1] += half * upper[1:] * v[1:]
+    rhs[1:] += half * lower[:-1] * v[:-1]
     ab = np.zeros((3, grid.points), dtype=np.complex128)
-    ab[0, 1:] = -half * upper[:-1]
+    ab[0, 1:] = -half * upper[1:]
     ab[1, :] = 1.0 - half * m_diag
-    ab[2, :-1] = -half * lower[1:]
+    ab[2, :-1] = -half * lower[:-1]
     return scipy.linalg.solve_banded((1, 1), ab, rhs), phi_next
 
 

@@ -28,10 +28,7 @@ from inls.grids import (
     mass,
     mesh,
     moments,
-    radial_face_coefficients,
-    radial_laplacian_bands,
-    radial_node_weights,
-    radial_nodes,
+    radial_geometry,
     radius_sq_values,
     weight_values,
     weighted_quadratic,
@@ -72,7 +69,7 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.radial(2, 10.0, 64)
         grid = GridSpec.radial(3, 8.0, 64)
-        r = radial_nodes(grid)
+        r = radial_geometry(grid).radii
         assert r[0] == pytest.approx(grid.spacing / 2)  # no origin node
         assert r[-1] == pytest.approx(8.0 - grid.spacing / 2)
 
@@ -224,7 +221,7 @@ def _hs_norm_formula(u, s):
     diff = np.empty_like(v)
     diff[:-1] = v[1:] - v[:-1]
     diff[-1] = -v[-1]
-    f = radial_face_coefficients(grid)
+    f = radial_geometry(grid).conductances
     return math.sqrt(float(sphere_area(grid.n) * np.sum(f * np.abs(diff) ** 2) / grid.spacing))
 
 
@@ -281,7 +278,7 @@ class TestMassSumOfSquares:
         if grid.kind == "tensor":
             expected = float(np.sum(density) * grid.cell_measure)
         else:
-            expected = float(np.sum(density * radial_node_weights(grid)))
+            expected = float(np.sum(density * radial_geometry(grid).weights))
         assert mass(u) == pytest.approx(expected, rel=1e-14)
 
     def test_non_contiguous_values(self):
@@ -323,7 +320,7 @@ class TestLaplacianNormBound:
         if grid.kind == "tensor":
             values = np.fft.ifftn(np.fft.fftn(values) * np.exp(-damping * wavenumber_sq_values(grid)))
         else:
-            values *= np.exp(-damping * radial_nodes(grid))
+            values *= np.exp(-damping * radial_geometry(grid).radii)
         u = Field(grid, values)
         assert hs_norm(u, 1) ** 2 <= laplacian_norm_bound(grid) * mass(u) * (1 + 1e-12)
 
@@ -341,11 +338,11 @@ class TestLaplacianNormBound:
     def test_radial_bound_within_a_tenth_of_top_eigenvalue(self, n):
         for points in (8, 64, 512):
             grid = GridSpec.radial(n, 10.0, points)
-            lower, diag, upper = radial_laplacian_bands(grid)
-            lap = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+            bands = radial_geometry(grid).bands.real
+            lap = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
             # -Lap_h is self-adjoint in the node weights D, so D^1/2 (-Lap_h)
             # D^-1/2 is symmetric with the same eigenvalues
-            root = np.sqrt(radial_node_weights(grid))
+            root = np.sqrt(radial_geometry(grid).weights)
             sym = -root[:, None] * lap / root[None, :]
             assert np.allclose(sym, sym.T, rtol=0.0, atol=1e-14 * np.abs(sym).max())
             top = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
@@ -438,6 +435,86 @@ class TestSeparableTables:
             assert abs(variance(u) - reference) <= allowed
 
 
+_GEOMETRY_GRIDS = [
+    pytest.param(GridSpec.radial(n, 10.0, points), id=f"radial{n}d-N{points}")
+    for n in (3, 4, 6)
+    for points in (64, 512)
+]
+
+
+class TestRadialGeometry:
+    """One cached geometry holds the radial nodes, weights, spacing and face
+    conductances; every radial table is built from it."""
+
+    @pytest.mark.parametrize("grid", _GEOMETRY_GRIDS)
+    def test_tables_equal_the_formulas_as_first_written(self, grid):
+        n, points = grid.n, grid.points
+        h = grid.r_max / points
+        r = (np.arange(points) + 0.5) * h
+        weights = sphere_area(n) * r ** (n - 1) * h
+        f = n * h * np.cumsum(r ** (n - 1)) / ((np.arange(points) + 1.0) * h)
+        denom = r ** (n - 1) * h * h
+        upper = np.zeros(points)
+        upper[:-1] = f[:-1] / denom[:-1]
+        lower = np.zeros(points)
+        lower[1:] = f[:-1] / denom[1:]
+        diag = -(f + np.concatenate(([0.0], f[:-1]))) / denom
+        geometry = radial_geometry(grid)
+        assert radial_geometry(grid) is geometry
+        assert geometry.spacing == h and geometry.n == n and geometry.r_max == grid.r_max
+        assert np.array_equal(geometry.radii, r)
+        assert np.array_equal(geometry.weights, weights)
+        assert np.array_equal(geometry.conductances, f)
+        bands = geometry.bands
+        assert bands.dtype == np.complex128 and not np.any(bands.imag)
+        assert np.array_equal(bands.real, [np.roll(upper, 1), diag, np.roll(lower, -1)])
+        assert np.array_equal(geometry.variance_table, r**2 * weights)
+        assert np.array_equal(
+            geometry.shell_table, np.where(r >= 0.9 * grid.r_max, weights, 0.0)
+        )
+        assert np.array_equal(mesh(grid)[0], r)
+        assert np.array_equal(radius_sq_values(grid), r**2)
+        for b, delta in ((0.5, 0.0), (1.0, 0.1), (4.0 / 3.0, 1.0)):
+            expected = (r**2 + delta**2) ** (-0.5 * b)
+            assert np.array_equal(weight_values(grid, PotentialWeight(b, delta)), expected)
+        expected = (1.3 * np.exp(-(r**2) / (2.0 * 0.7**2))).astype(np.complex128)
+        assert np.array_equal(gaussian_field(grid, 1.3, 0.7).values, expected)
+        coupling = np.sqrt(upper[:-1] * lower[1:])
+        rows = np.abs(diag)
+        rows[:-1] += coupling
+        rows[1:] += coupling
+        assert laplacian_norm_bound(grid) == float(rows.max())
+        for name in ("radii", "weights", "conductances", "bands", "variance_table", "shell_table"):
+            assert not getattr(geometry, name).flags.writeable, name
+
+    @pytest.mark.parametrize("grid", _GEOMETRY_GRIDS)
+    def test_bands_self_adjoint_in_the_node_weights(self, grid):
+        geometry = radial_geometry(grid)
+        upper, lower = geometry.bands.real[0, 1:], geometry.bands.real[2, :-1]
+        d = geometry.weights
+        assert np.allclose(d[:-1] * upper, d[1:] * lower, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("grid", _GEOMETRY_GRIDS)
+    def test_h1_seminorm_is_the_dirichlet_form_of_the_bands(self, grid):
+        # hs_norm(u, 1)**2 = <u, -L_h u>_D, outer face included: the seminorm
+        # and the operator read one boundary
+        geometry = radial_geometry(grid)
+        upper, diag, lower = geometry.bands.real
+        rng = np.random.default_rng(grid.n * grid.points)
+        for _ in range(3):
+            v = rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points)
+            lap = diag * v
+            lap[:-1] += upper[1:] * v[1:]
+            lap[1:] += lower[:-1] * v[:-1]
+            form = -np.vdot(v, geometry.weights * lap)
+            assert abs(form.imag) <= 1e-12 * form.real
+            assert hs_norm(Field(grid, v), 1) ** 2 == pytest.approx(form.real, rel=1e-12)
+
+    def test_refuses_tensor_grid(self):
+        with pytest.raises(ValueError):
+            radial_geometry(GridSpec.tensor(3, 10.0, 16))
+
+
 class TestWeightedIntegrals:
     def test_zero_field(self):
         grid = GridSpec.radial(3, 8.0, 64)
@@ -448,7 +525,7 @@ class TestWeightedIntegrals:
         grid = GridSpec.radial(3, 10.0, 512)
         u = gaussian_field(grid, 1.1, 1.0)
         w = PotentialWeight(b=0.0, delta=0.0)
-        plain = float(np.sum(np.abs(u.values) ** 4 * radial_node_weights(grid)))
+        plain = float(np.sum(np.abs(u.values) ** 4 * radial_geometry(grid).weights))
         assert weighted_potential(u, w, 2.0) == pytest.approx(plain, rel=1e-14)
 
     def test_radial_against_quad_oracle(self):
@@ -510,17 +587,17 @@ class TestVariance:
 def laplacian_apply(u):
     """The Laplacian as an oracle for the bands: spectral multiplier -|xi|^2
     on tensor grids; on radial grids the self-adjoint flux stencil of
-    ``radial_laplacian_bands``, with zero flux through r = 0 and Dirichlet
+    the geometry's bands, with zero flux through r = 0 and Dirichlet
     u = 0 at r_max, applied as a matrix product."""
     grid = u.grid
     if grid.kind == "tensor":
         out = scipy.fft.ifftn(-wavenumber_sq_values(grid) * scipy.fft.fftn(u.values))
         return Field(grid=grid, values=out, time_tag=u.time_tag)
-    lower, diag, upper = radial_laplacian_bands(grid)
+    upper, diag, lower = radial_geometry(grid).bands.real  # solve_banded rows
     v = u.values
     out = diag * v
-    out[:-1] += upper[:-1] * v[1:]
-    out[1:] += lower[1:] * v[:-1]
+    out[:-1] += upper[1:] * v[1:]
+    out[1:] += lower[:-1] * v[:-1]
     return Field(grid=grid, values=out, time_tag=u.time_tag)
 
 
@@ -541,14 +618,14 @@ class TestLaplacian:
 
     def test_radial_gaussian_accuracy(self):
         grid = GridSpec.radial(3, 12.0, 4096)
-        r = radial_nodes(grid)
+        r = radial_geometry(grid).radii
         lap = laplacian_apply(Field(grid, np.exp(-r ** 2 / 2).astype(complex)))
         exact = (r ** 2 - 3) * np.exp(-r ** 2 / 2)
         assert np.max(np.abs(lap.values - exact)) < 5e-5
 
     def test_radial_quadratic_exact(self):
         grid = GridSpec.radial(4, 10.0, 256)
-        r = radial_nodes(grid)
+        r = radial_geometry(grid).radii
         lap = laplacian_apply(Field(grid, (r ** 2).astype(complex)))
         # exact on quadratics away from the Dirichlet wall
         assert np.max(np.abs(lap.values[:-2] - 2 * grid.n)) < 1e-8
@@ -557,10 +634,10 @@ class TestLaplacian:
         errors = []
         for points in (1024, 2048):
             grid = GridSpec.radial(3, 12.0, points)
-            r = radial_nodes(grid)
+            r = radial_geometry(grid).radii
             lap = laplacian_apply(Field(grid, np.exp(-r ** 2 / 2).astype(complex)))
             exact = (r ** 2 - 3) * np.exp(-r ** 2 / 2)
-            w = radial_node_weights(grid)
+            w = radial_geometry(grid).weights
             errors.append(math.sqrt(float(np.sum(np.abs(lap.values - exact) ** 2 * w))))
         order = math.log2(errors[0] / errors[1])
         assert 1.8 <= order <= 2.2
@@ -573,7 +650,7 @@ class TestBoundaryMonitor:
 
     def test_shell_data(self):
         grid = GridSpec.radial(3, 10.0, 256)
-        r = radial_nodes(grid)
+        r = radial_geometry(grid).radii
         ring = Field(grid, np.exp(-((r - 9.5) ** 2) * 20).astype(complex))
         assert boundary_mass_fraction(ring) > 0.9
 

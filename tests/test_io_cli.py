@@ -226,6 +226,26 @@ class TestGroundStateCommand:
         assert payload["pohozaev_residual"] < 1e-12
         assert payload["c_hs_epsilon_spread"] < 1e-12
 
+    @pytest.mark.parametrize("spelling", ["19/10", "1.9"])
+    def test_rational_b(self, tmp_path, capsys, spelling):
+        # sigma1 = (4 - 2b)/(n - 2) = 1/20 is formed exactly, then rounded once
+        json_path = tmp_path / "gs.json"
+        code = cli.main(["ground-state", "--n", "6", "--b", spelling, "--json", str(json_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "                       b = 19/10\n" in out
+        assert "                  sigma1 = 0.05\n" in out
+        payload = json.loads(json_path.read_text())
+        assert payload["b"] == "19/10"
+        assert payload["sigma1"] == 0.05
+
+    @pytest.mark.parametrize("spelling", ["1/0", "abc", "0.1234567"])
+    def test_malformed_b_is_parameter_error(self, capsys, spelling):
+        code = cli.main(["ground-state", "--n", "6", "--b", spelling])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("parameter error:")
+
     def test_overflowing_bubble_is_parameter_error(self, capsys):
         code = cli.main(["ground-state", "--n", "7", "--b", "1.99"])
         err = capsys.readouterr().err
@@ -500,6 +520,20 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("config error:") and "bubble" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_underflowing_bubble_refused_before_run(self, tmp_path, capsys):
+        # core radius eps^(1/(2-b)) = 1e-200, far inside the first node:
+        # max |u0| is 3.9e-158, so |u0|^2 and the mass underflow
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 6, "s": 1, "b": "199/100", "sigma": "auto", "lambda": 1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 16.0, "points": 64}
+        raw["time"] = {"dt_init": 1e-3, "dt_min": 1e-12, "t_end": 0.01, "record_every": 5}
+        raw["initial"] = {"type": "ground_state_scaled", "scale_c": 0.5, "epsilon": 0.01}
+        code = cli.main(["simulate", str(write_config(tmp_path, raw))])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "underflows" in err
         assert not (tmp_path / "runs").exists()
 
     def test_non_finite_exits_four(self, tmp_path, capsys):
