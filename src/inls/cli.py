@@ -294,7 +294,7 @@ class RunConfig:
     def profile(self) -> ground_state.GroundStateProfile:
         """The bubble W of the config's n, b and initial.epsilon."""
         return ground_state.GroundStateProfile(
-            n=self.params.n, b=float(self.params.b), epsilon=self.initial["epsilon"]
+            n=self.params.n, b=self.params.b, epsilon=self.initial["epsilon"]
         )
 
     def build_initial_field(self) -> Field:
@@ -407,7 +407,7 @@ def cmd_pairs(args) -> int:
 
 def _ground_state_payload(n, b: Fraction, eps):
     """The bubble's constants, with b and sigma1 = (4-2b)/(n-2) exact."""
-    profile = ground_state.GroundStateProfile(n, float(b), eps)
+    profile = ground_state.GroundStateProfile(n, b, eps)
     base = ground_state.compute_quantities(profile)
     doubled = ground_state.compute_quantities(dataclasses.replace(profile, epsilon=2 * eps))
     pohozaev = abs(base.h1dot_sq - base.potential_integral) / base.h1dot_sq
@@ -416,7 +416,7 @@ def _ground_state_payload(n, b: Fraction, eps):
         "n": n,
         "b": fmt(b),
         "epsilon": eps,
-        "sigma1": float(exponents.critical_power(n, 1, b)),
+        "sigma1": profile.sigma1,
         "h1dot_sq": base.h1dot_sq,
         "potential_integral": base.potential_integral,
         "c_hs": base.c_hs,

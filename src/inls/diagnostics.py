@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import SimConfig, nonlinear_density
 from .exponents import HypothesisViolation, hypothesis_report
-from .grids import Field, hs_norm, moments, weighted_quadratic
+from .grids import Field, hs_norm, moments, radius_sq_values, weighted_quadratic
 from .ground_state import GroundStateQuantities, scaled_energy_ratio
 
 
@@ -90,11 +90,8 @@ def cylindrical_phi_R(y_norm, x_last, R: float):
 
 def localized_virial(u: Field, R: float) -> float:
     """Integral of phi_R(x) |u|^2."""
-    if u.grid.kind == "radial":
-        return weighted_quadratic(u, lambda r: phi_R_weight(r, R))
-    return weighted_quadratic(
-        u, lambda *coords: phi_R_weight(np.sqrt(sum(c**2 for c in coords)), R)
-    )
+    table = radius_sq_values(u.grid, lambda rsq: phi_R_weight(np.sqrt(rsq), R))
+    return weighted_quadratic(u, table)
 
 
 def g_threshold(y: float, gs: GroundStateQuantities) -> float:
@@ -195,7 +192,7 @@ def classify_blowup(
     verdict = hypothesis_report("blowup_criterion", params, symmetry=symmetry)
     if not verdict.holds:
         raise HypothesisViolation(verdict)
-    if (gs.profile.n, gs.profile.b) != (params.n, params.b_float):
+    if (gs.profile.n, float(gs.profile.b)) != (params.n, params.b_float):
         raise ValueError(
             f"ground state {gs.profile} is not the bubble of n = {params.n}, b = {params.b}"
         )

@@ -139,9 +139,9 @@ def _unit_phase(half: np.ndarray) -> np.ndarray:
 def _kinetic_propagator(grid: GridSpec, dt: float) -> np.ndarray:
     """exp(-i dt |xi|^2), the exact free flight over dt; cached for the last
     dt, which is the next one in most runs."""
-    half = wavenumber_sq_values(grid)
-    half *= -0.5 * dt
-    prop = _unit_phase(half)
+    prop = wavenumber_sq_values(
+        grid, lambda ksq: _unit_phase(np.multiply(ksq, -0.5 * dt, out=ksq)), np.complex128
+    )
     prop.flags.writeable = False  # shared by every caller with this dt
     return prop
 

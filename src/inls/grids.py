@@ -164,40 +164,70 @@ def _wavenumber_axis(grid: GridSpec) -> np.ndarray:
     return 2.0 * math.pi * scipy.fft.fftfreq(grid.points, d=grid.spacing)
 
 
-def _sparse_axes(axis: np.ndarray, n: int):
-    return np.meshgrid(*([axis] * n), indexing="ij", sparse=True)
-
-
 @lru_cache(maxsize=64)
 def mesh(grid: GridSpec):
     """Coordinate arrays: n sparse, broadcastable axes for tensor grids
     (``np.broadcast_arrays`` makes them dense), (r,) for radial."""
     if grid.kind == "radial":
         return (radial_geometry(grid).radii,)
-    return tuple(_sparse_axes(_axis(grid), grid.n))
+    return tuple(np.meshgrid(*([_axis(grid)] * grid.n), indexing="ij", sparse=True))
 
 
-def _sum_of_squares(axes, shape) -> np.ndarray:
-    """((0 + a_0^2) + a_1^2) + ... of broadcastable axes, as a new array of
-    ``shape``: the one association order of every |x|^2 and |xi|^2 table."""
-    out = np.zeros(shape)
-    for a in axes:
-        out += a**2
+def _radial_table(axes, f=None, dtype=np.float64) -> np.ndarray:
+    """f(s) at every node of the tensor product of ``axes``, where s is the
+    node's sum of squares ((0 + a_0^2) + a_1^2) + ..., as a new array of
+    ``dtype``: the one builder of every |x|^2 and |xi|^2 table and of the
+    radially symmetric tables made from them.  Each axis is an array that
+    varies along its own dimension only (a 1-d axis or a sparse mesh axis).
+
+    ``f`` is elementwise and may overwrite its argument; None is the
+    identity.  With two or more axes, s and f are evaluated once per
+    combination of distinct per-axis squares (N/2 + 1 of N on a centred
+    axis whose x and -x round alike: 33^3 sums at 64^3), and the
+    result is gathered into the output one axis-0 plane at a time, so no
+    full-size temporary is built.  The sums are those of the full table,
+    so the result is f of it bit for bit.
+    """
+    squares = [np.ravel(a) ** 2 for a in axes]
+    if len(squares) < 2:  # nothing to share; 0 + a^2 is a^2 exactly
+        table = squares[0] if squares else np.zeros(())
+        return (table if f is None else f(table)).astype(dtype, copy=False)
+    out = np.empty(tuple(sq.size for sq in squares), dtype)  # before any temporary
+    squares, inverse = zip(*map(_distinct, squares))
+    table = np.zeros(tuple(sq.size for sq in squares))
+    for sq in np.ix_(*squares):
+        table += sq
+    if f is not None:
+        table = f(table)
+    rest = np.ravel_multi_index(np.ix_(*inverse[1:]), table.shape[1:])
+    for plane, i in zip(out, inverse[0]):
+        if table.dtype == dtype:  # "clip": in range; "raise" would buffer
+            np.take(table[i], rest, out=plane, mode="clip")
+        else:  # a real table into a complex output, with no complex copy of it
+            plane[...] = np.take(table[i], rest, mode="clip")
     return out
 
 
-def radius_sq_values(grid: GridSpec) -> np.ndarray:
-    """|x|^2 at every node, built on each call (a tensor grid keeps no
-    full-size copy); the caller owns the array."""
-    if grid.kind == "radial":
-        return radial_geometry(grid).radii ** 2
-    return _sum_of_squares(mesh(grid), grid.shape)
+def _distinct(values: np.ndarray):
+    """The distinct entries of a short 1-d array, in order of first
+    appearance, and the position of each entry among them.  Taken with a
+    dict, not ``np.unique``, whose first call faults in ~0.45 MiB of NumPy's
+    sort kernels that nothing else in a run reads."""
+    first = {}
+    inverse = [first.setdefault(v, len(first)) for v in values.tolist()]
+    return np.array(list(first)), np.array(inverse, dtype=np.intp)
 
 
-def wavenumber_sq_values(grid: GridSpec) -> np.ndarray:
-    """|xi|^2 at every wavenumber, built on each call; the caller owns the
-    array."""
-    return _sum_of_squares(_sparse_axes(_wavenumber_axis(grid), grid.n), grid.shape)
+def radius_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
+    """f(|x|^2) at every node (|x|^2 itself when ``f`` is None), built on
+    each call by ``_radial_table``; the caller owns the array."""
+    return _radial_table(mesh(grid), f, dtype)
+
+
+def wavenumber_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
+    """f(|xi|^2) at every wavenumber (|xi|^2 itself when ``f`` is None),
+    built on each call by ``_radial_table``; the caller owns the array."""
+    return _radial_table([_wavenumber_axis(grid)] * grid.n, f, dtype)
 
 
 @lru_cache(maxsize=64)
@@ -207,8 +237,7 @@ def _square_split(grid: GridSpec, spectral: bool):
     squares over the flattened (n-1)-d cross-section of the other axes
     ([0.0] when n = 1)."""
     axis = _wavenumber_axis(grid) if spectral else _axis(grid)
-    cross = (grid.points,) * (grid.n - 1)
-    return axis**2, _sum_of_squares(_sparse_axes(axis, grid.n - 1), cross).ravel()
+    return axis**2, _radial_table([axis] * (grid.n - 1)).ravel()
 
 
 def _split_sum(grid: GridSpec, spectral: bool, a: np.ndarray) -> float:
@@ -294,10 +323,12 @@ def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _weight_values_cached(grid: GridSpec, b: float, delta: float) -> np.ndarray:
-    table = radius_sq_values(grid)
-    table += delta**2
-    table **= -0.5 * b
-    return table
+    def weight(rsq):
+        rsq += delta**2
+        rsq **= -0.5 * b
+        return rsq
+
+    return radius_sq_values(grid, weight)
 
 
 # -- spatial integrals: each is a dot product of |u|^2 with a cached table
@@ -449,8 +480,11 @@ def hs_norm(u: Field, s: float) -> float:
             with np.errstate(invalid="ignore"):  # 0 * inf, handled below
                 total = _split_sum(grid, True, pairs)
         else:
-            multiplier = wavenumber_sq_values(grid)
-            multiplier **= s
+            def power(ksq):
+                ksq **= s
+                return ksq
+
+            multiplier = wavenumber_sq_values(grid, power)
             total = float(np.einsum("i,ik->", multiplier.ravel(), pairs.reshape(-1, 2)))
         # an overflowed square times the mean's zero multiplier is NaN; a
         # finite field's seminorm then is inf, so blow-up checks still fire
@@ -492,9 +526,9 @@ def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarra
 
 
 def weighted_quadratic(u: Field, a) -> float:
-    """Integral of a(x) |u|^2 for a callable a(*coords) evaluated on nodes."""
+    """Integral of a(x) |u|^2 for a table ``a`` of a(x) over the nodes."""
     grid = u.grid
-    table = np.broadcast_to(np.asarray(a(*mesh(grid)), dtype=float), grid.shape)
+    table = np.broadcast_to(np.asarray(a, dtype=float), grid.shape)
     if grid.kind == "radial":
         table = table * radial_geometry(grid).weights
     return _quadrature(grid, table, _abs_sq(u.values))
@@ -511,9 +545,9 @@ def gaussian_field(
     elif grid.kind == "radial":
         raise ValueError("radial grids take centered data only")
     # the radial mesh is (r,): |r - 0|^2 is r^2
-    rsq = _sum_of_squares([c - c0 for c, c0 in zip(mesh(grid), center)], grid.shape)
-    values = amplitude * np.exp(-rsq / (2.0 * width**2))
-    return Field(grid=grid, values=values.astype(np.complex128), time_tag=0.0)
+    axes = [c - c0 for c, c0 in zip(mesh(grid), center)]
+    values = _radial_table(axes, lambda rsq: amplitude * np.exp(-rsq / (2.0 * width**2)), complex)
+    return Field(grid=grid, values=values, time_tag=0.0)
 
 
 # -- field dump format: one JSON header line, then raw little-endian ---------

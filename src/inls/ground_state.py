@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .exponents import critical_power
 
 
 @lru_cache(maxsize=16)
@@ -31,10 +34,12 @@ def check_epsilon(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class GroundStateProfile:
-    """Parameters (n, b, eps) of the explicit bubble; sigma1 is derived."""
+    """Parameters (n, b, eps) of the explicit bubble; sigma1 is derived.
+    b is a float or an exact rational (int or Fraction); the profile's
+    floating-point formulas read it as a float."""
 
     n: int
-    b: float
+    b: float | Fraction
     epsilon: float = 1.0
 
     def __post_init__(self):
@@ -50,27 +55,32 @@ class GroundStateProfile:
         if not amplitude < math.inf:
             raise ValueError(f"the amplitude of the bubble {self} overflows")
 
+    def __str__(self):
+        # as the dataclass repr, with an exact b as p/q rather than Fraction(p, q)
+        return f"GroundStateProfile(n={self.n}, b={self.b}, epsilon={self.epsilon})"
+
     @property
     def sigma1(self) -> float:
-        return (4.0 - 2.0 * self.b) / (self.n - 2.0)
+        """The critical power (4-2b)/(n-2) at s = 1, exact before its one
+        rounding to a float."""
+        return float(critical_power(self.n, Fraction(1), Fraction(self.b)))
 
     @property
     def amplitude(self) -> float:
         # numerator constant of the profile
-        return (self.epsilon * (self.n - self.b) * (self.n - 2.0)) ** (
-            (self.n - 2.0) / (4.0 - 2.0 * self.b)
-        )
+        n, b = self.n, float(self.b)
+        return (self.epsilon * (n - b) * (n - 2.0)) ** ((n - 2.0) / (4.0 - 2.0 * b))
 
     @property
     def decay(self) -> float:
         # exponent k with W ~ amplitude * r^(-(n-2)) = amplitude * (r^(2-b))^(-k)
-        return (self.n - 2.0) / (2.0 - self.b)
+        return (self.n - 2.0) / (2.0 - float(self.b))
 
 
 def w_eval(profile: GroundStateProfile, r):
     """Profile value at radius r >= 0 (scalar or array)."""
     r = np.asarray(r, dtype=float)
-    q = 2.0 - profile.b
+    q = 2.0 - float(profile.b)
     out = profile.amplitude / (profile.epsilon + r**q) ** profile.decay
     return out if out.ndim else float(out)
 
@@ -112,7 +122,7 @@ def compute_quantities(profile: GroundStateProfile) -> GroundStateQuantities:
     kernels, so their difference checks the arithmetic.  Raises ValueError
     when either is not a positive finite float.
     """
-    n, b, eps = profile.n, profile.b, profile.epsilon
+    n, b, eps = profile.n, float(profile.b), profile.epsilon
     q = 2.0 - b
     k = profile.decay
     A = profile.amplitude
@@ -154,15 +164,16 @@ def scaled_energy_ratio(c: float, quantities: GroundStateQuantities):
 
 
 def sample_on_grid(profile: GroundStateProfile, grid, scale: float = 1.0):
-    """Sample scale * W on a grid (radial nodes, or |x| on a tensor grid)."""
+    """Sample scale * W on a grid (radial nodes, or |x| on a tensor grid,
+    evaluated once per combination of distinct per-axis squares)."""
     from .grids import Field, radial_geometry, radius_sq_values
 
     if grid.kind == "radial":
-        r = radial_geometry(grid).radii
+        values = (scale * w_eval(profile, radial_geometry(grid).radii)).astype(complex)
+    elif grid.n != profile.n:
+        raise ValueError("tensor grid dimension must match the profile")
     else:
-        if grid.n != profile.n:
-            raise ValueError("tensor grid dimension must match the profile")
-        r = radius_sq_values(grid)
-        np.sqrt(r, out=r)
-    values = scale * w_eval(profile, r)
-    return Field(grid=grid, values=values.astype(complex), time_tag=0.0)
+        values = radius_sq_values(
+            grid, lambda rsq: scale * w_eval(profile, np.sqrt(rsq, out=rsq)), complex
+        )
+    return Field(grid=grid, values=values, time_tag=0.0)

@@ -629,6 +629,48 @@ def test_tensor_run_retains_only_weight_and_propagator():
     assert retained <= weight.nbytes + propagator.nbytes + 64 * 1024
 
 
+def _dense_wavenumber_sq(grid):
+    """|xi|^2 from dense meshes summed in axis order from zero, as first built."""
+    axis = 2.0 * math.pi * scipy.fft.fftfreq(grid.points, d=grid.spacing)
+    out = np.zeros(grid.shape)
+    for c in np.meshgrid(*([axis] * grid.n), indexing="ij"):
+        out += c**2
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(GridSpec.tensor(n, extent, points), id=f"tensor{n}d-N{points}-L{label}")
+        for n in (1, 2, 3)
+        for points in (8, 16, 64, 128)
+        for extent, label in ((16.0, "16"), (10.0, "10"), (2.0 * math.pi, "2pi"))
+    ],
+)
+def test_kinetic_propagator_equals_the_dense_formula(grid):
+    # built once per distinct |xi|^2 and gathered, bit for bit the full table
+    for dt in (1e-3, 7e-4, 0.0173):
+        half = _dense_wavenumber_sq(grid)
+        half *= -0.5 * dt
+        expected = dynamics._unit_phase(half)
+        prop = dynamics._kinetic_propagator(grid, dt)
+        assert np.array_equal(prop.view(np.uint64), expected.view(np.uint64))
+        assert not prop.flags.writeable
+
+
+def test_kinetic_propagator_allocates_its_output_and_at_most_1_mib():
+    grid = GridSpec.tensor(3, 16.0, 64)
+    dynamics._kinetic_propagator.cache_clear()
+    grids._wavenumber_axis(grid)
+    tracemalloc.start()
+    try:
+        prop = dynamics._kinetic_propagator(grid, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= prop.nbytes + 2**20
+
+
 @pytest.mark.parametrize("kind", ["tensor", "radial"])
 def test_adapt_dt_reads_cfg_second_once_per_step(kind, monkeypatch):
     # the benchmark tracer reads each call's clamp from args[1].dt_init

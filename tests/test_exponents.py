@@ -59,6 +59,13 @@ class TestCriticalPower:
         with pytest.raises(ValueError):
             critical_power(3, F(-1), F(1))
 
+    def test_memo_keeps_refusing_floats_and_booleans(self):
+        # memoised by type: a cached int or Fraction answers no bool or float
+        assert critical_power(3, 1, 1) == critical_power(3, F(1), F(1, 1)) == F(2)
+        for b in (True, 1.0):
+            with pytest.raises(TypeError):
+                critical_power(3, 1, b)
+
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             critical_power(3, 0.5, F(1))

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from inls.grids import (
     weighted_quadratic,
     wavenumber_sq_values,
 )
-from inls.ground_state import GroundStateProfile, sample_on_grid, sphere_area
+from inls.ground_state import GroundStateProfile, sample_on_grid, sphere_area, w_eval
 
 
 def normalized_gaussian(grid):
@@ -359,12 +360,12 @@ def _dense_axes(grid, spectral):
     return axis, np.meshgrid(*([axis] * grid.n), indexing="ij")
 
 
-def _dense_sum_of_squares(grid, spectral):
+def _dense_sum_of_squares(grid, spectral, center=None):
     """|x|^2 or |xi|^2 as first built and cached: the dense meshes summed in
-    axis order from zero."""
+    axis order from zero; |x - center|^2 when a center is given."""
     out = np.zeros(grid.shape)
-    for c in _dense_axes(grid, spectral)[1]:
-        out += c**2
+    for c, c0 in zip(_dense_axes(grid, spectral)[1], center or (0.0,) * grid.n):
+        out += (c - c0) ** 2
     return out
 
 
@@ -433,6 +434,90 @@ class TestSeparableTables:
             reference = _fsum_reference(grid, False, a2) * grid.cell_measure
             allowed = max(abs(full - reference), 4e-15 * reference)
             assert abs(variance(u) - reference) <= allowed
+
+
+def _bits(a):
+    """The raw 64-bit words of a real or complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+_RADIAL_TABLE_GRIDS = [
+    pytest.param(GridSpec.tensor(n, extent, points), id=f"tensor{n}d-N{points}-L{label}")
+    for n in (1, 2, 3)
+    for points in (8, 16, 64, 128)
+    for extent, label in ((16.0, "16"), (10.0, "10"), (2.0 * math.pi, "2pi"))
+]
+
+
+class TestRadialTables:
+    """Every table that depends on |x|^2 or |xi|^2 alone is built once per
+    distinct per-axis square and gathered; it equals the full-size formula
+    bit for bit."""
+
+    @pytest.mark.parametrize("grid", _RADIAL_TABLE_GRIDS)
+    def test_tables_equal_the_dense_formulas(self, grid):
+        rsq = _dense_sum_of_squares(grid, spectral=False)
+        ksq = _dense_sum_of_squares(grid, spectral=True)
+        assert np.array_equal(_bits(radius_sq_values(grid)), _bits(rsq))
+        assert np.array_equal(_bits(wavenumber_sq_values(grid)), _bits(ksq))
+        for b, delta in ((0.5, 0.25), (4.0 / 3.0, 0.1)):
+            expected = rsq.copy()
+            expected += delta**2
+            expected **= -0.5 * b
+            table = grids._weight_values_cached(grid, b, delta)
+            assert np.array_equal(_bits(table), _bits(expected))
+        for center in (None, (0.37, -1.1, 2.5)[: grid.n]):
+            dense = _dense_sum_of_squares(grid, False, center)
+            expected = (1.3 * np.exp(-dense / (2.0 * 0.7**2))).astype(np.complex128)
+            values = gaussian_field(grid, 1.3, 0.7, center).values
+            assert np.array_equal(_bits(values), _bits(expected))
+        if grid.n == 3:
+            profile = GroundStateProfile(n=3, b=0.5, epsilon=1.0)
+            r = rsq.copy()
+            np.sqrt(r, out=r)
+            expected = (0.5 * w_eval(profile, r)).astype(complex)
+            values = sample_on_grid(profile, grid, scale=0.5).values
+            assert np.array_equal(_bits(values), _bits(expected))
+
+    @pytest.mark.parametrize("grid", _RADIAL_TABLE_GRIDS)
+    def test_fractional_sobolev_multiplier(self, grid):
+        rng = np.random.default_rng(grid.points + grid.n)
+        window = gaussian_field(grid, 1.0, 0.2 * grid.extent, (0.3,) * grid.n).values
+        u = Field(grid, window * (rng.standard_normal(grid.shape) + 1j))
+        uhat = scipy.fft.fftn(u.values.copy(), workers=grids.thread_count(), overwrite_x=True)
+        pairs = uhat.view(np.float64)
+        pairs *= pairs
+        multiplier = _dense_sum_of_squares(grid, spectral=True)
+        multiplier **= 0.5
+        total = float(np.einsum("i,ik->", multiplier.ravel(), pairs.reshape(-1, 2)))
+        expected = math.sqrt(total * grid.cell_measure / u.values.size)
+        assert _bits(np.float64(hs_norm(u, 0.5))) == _bits(np.float64(expected))
+
+    def test_unpaired_axis_squares(self):
+        # x and -x pair up on an axis whose spacing is a power-of-two
+        # fraction of 16; on a 2 pi box rounding leaves 44 of 64 distinct
+        for extent, distinct in ((16.0, 33), (2.0 * math.pi, 44)):
+            axis = _dense_axes(GridSpec.tensor(3, extent, 64), False)[0]
+            assert np.unique(axis**2).size == distinct
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda grid: gaussian_field(grid, 1.0, 1.0),
+            lambda grid: sample_on_grid(GroundStateProfile(3, 0.5, 1.0), grid, 0.5),
+        ],
+        ids=["gaussian_field", "sample_on_grid"],
+    )
+    def test_allocates_its_output_and_at_most_1_mib(self, build):
+        grid = GridSpec.tensor(3, 16.0, 64)
+        mesh(grid)
+        tracemalloc.start()
+        try:
+            values = build(grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2**20
 
 
 _GEOMETRY_GRIDS = [
@@ -576,11 +661,9 @@ class TestVariance:
     def test_weighted_quadratic_consistency(self):
         grid = GridSpec.tensor(2, 16.0, 32)
         u = gaussian_field(grid, 1.0, 1.0)
-        assert weighted_quadratic(u, lambda *c: np.ones(grid.shape)) == pytest.approx(
-            mass(u), rel=1e-14
-        )
+        assert weighted_quadratic(u, np.ones(grid.shape)) == pytest.approx(mass(u), rel=1e-14)
         assert weighted_quadratic(
-            u, lambda *c: sum(ci ** 2 for ci in c)
+            u, sum(ci ** 2 for ci in mesh(grid))
         ) == pytest.approx(variance(u), rel=1e-14)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -57,6 +58,26 @@ class TestProfileEvaluation:
             GroundStateProfile(3, 2.0)
         with pytest.raises(ValueError):
             GroundStateProfile(3, 0.5, 0.0)
+
+
+class TestSigma1:
+    """sigma1 is the exact critical power (4-2b)/(n-2) at s = 1, rounded once."""
+
+    def test_exact_rational_b(self):
+        profile = GroundStateProfile(6, Fraction(19, 10))
+        assert profile.sigma1 == 0.05  # (4 - 2b)/(n - 2) in floats: 0.050000000000000044
+        q = compute_quantities(profile)
+        assert q.energy == 0.5 * q.h1dot_sq - q.potential_integral / 2.05
+        assert q.c_hs == q.potential_integral ** (1.0 / 2.05) / math.sqrt(q.h1dot_sq)
+        assert scaled_energy_ratio(1.2, q)[0] == 0.5 * 1.2**2 - 1.2**2.05 / 2.05
+
+    def test_float_b_is_read_exactly(self):
+        # a float b is the rational it stores: b = 0.5 gives sigma1 = 3, and
+        # the float formulas of a Fraction profile see the float of b
+        assert GroundStateProfile(3, 0.5).sigma1 == 3.0
+        assert GroundStateProfile(6, 1.9).sigma1 == float((4 - 2 * Fraction(1.9)) / 4)
+        exact, rounded = GroundStateProfile(4, Fraction(1, 3)), GroundStateProfile(4, 1 / 3)
+        assert (exact.amplitude, exact.decay) == (rounded.amplitude, rounded.decay)
 
 
 class TestQuantities:

@@ -238,6 +238,10 @@ class TestGroundStateCommand:
         payload = json.loads(json_path.read_text())
         assert payload["b"] == "19/10"
         assert payload["sigma1"] == 0.05
+        # the constants use that sigma1, not the float formula's
+        pot, h1 = payload["potential_integral"], payload["h1dot_sq"]
+        assert payload["energy"] == 0.5 * h1 - pot / 2.05
+        assert payload["c_hs"] == pot ** (1.0 / 2.05) / math.sqrt(h1)
 
     @pytest.mark.parametrize("spelling", ["1/0", "abc", "0.1234567"])
     def test_malformed_b_is_parameter_error(self, capsys, spelling):
@@ -251,6 +255,7 @@ class TestGroundStateCommand:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert err.startswith("parameter error:")
+        assert "GroundStateProfile(n=7, b=199/100, epsilon=1.0)" in err  # the exact b, as p/q
 
     def test_bad_tolerance_is_usage_error(self, capsys):
         # there is no --tol option: the bubble constants are in closed form
