@@ -265,7 +265,7 @@ class RunConfig:
             par["sigma"] = self.params.sigma_value
             self.grid = GridSpec(n=par["n"], **self._values["grid"])
             if weight["delta"] == "auto":
-                weight["delta"] = self.grid.spacing if self.grid.kind == "tensor" else 0.0
+                weight["delta"] = self.grid.spacing if grids.geometry(self.grid).origin_node else 0.0
             self.weight = PotentialWeight(b=float(par["b"]), delta=weight["delta"])
             if time["dt_min"] is None:
                 time["dt_min"] = time["dt_init"] * 1e-8
@@ -517,7 +517,7 @@ def cmd_simulate(args) -> int:
         report["files"]["field_final"] = "field_final.bin"
 
     if blowup_scope:
-        symmetry = "radial" if config.grid.kind == "radial" else "finite_variance"
+        symmetry = grids.geometry(config.grid).symmetry
         if config.initial["type"] == "ground_state_scaled":
             data = diagnostics.ScaledGroundState(config.initial["scale_c"])
         else:

@@ -7,9 +7,7 @@ once as re^2 + im^2 and mass, variance, the outer-shell mass and the
 weighted potential are dot products of it against cached weight tables (the
 tensor variance: sums of its axis marginals; the potential: against the
 density w |u|^sigma, which a run hands over from its stepper); max_amp is
-sqrt(max |u|^2).  Against the earlier per-quantity formulas (|u| by hypot,
-a separate array per integral) the columns agree to 1e-14 relative, and
-mass bit for bit.
+sqrt(max |u|^2).
 """
 from __future__ import annotations
 

@@ -26,7 +26,7 @@ the H1 seminorm, with dt underflow and non-finite values as the other early
 terminations.  The blow-up check is exact; ``run`` skips it only on steps
 that write no record and where rho_h * M < (blowup_ratio * h1_0)**2 / 2,
 because ``hs_norm(u, 1)**2 <= rho_h * mass(u)`` with rho_h =
-``grids.laplacian_norm_bound(grid)``.
+``grids.geometry(grid).norm_bound``.
 """
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ from .grids import (
     GridSpec,
     PotentialWeight,
     abs_power,
+    geometry,
     hs_norm,
-    laplacian_norm_bound,
     mass,
     radial_geometry,
     thread_count,
@@ -309,7 +309,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
 
     The blow-up check is exact, and it runs on every step that writes a
     record.  On other steps it is skipped when the grid bound
-    ``hs_norm(u, 1)**2 <= laplacian_norm_bound(grid) * mass(u)`` proves the
+    ``hs_norm(u, 1)**2 <= geometry(grid).norm_bound * mass(u)`` proves the
     step cannot detect blow-up: rho_h * M < (blowup_ratio * h1_0)**2 / 2,
     the factor 1/2 covering rounding.  ``sqrt(rho_h * M) / h1_0`` is the
     largest H1 growth the grid can show at mass M.
@@ -320,7 +320,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         raise ValueError("initial field lives on a different grid")
     u = Field(grid=u0.grid, values=u0.values.copy(), time_tag=0.0)
     h1_0 = hs_norm(u, 1)
-    rho = laplacian_norm_bound(u.grid)
+    rho = geometry(u.grid).norm_bound
     undetectable = 0.5 * (cfg.blowup_ratio * h1_0) ** 2
     # every record takes the potential from the state's density w |u|^sigma
     state = start_state(u, cfg)

@@ -1,18 +1,26 @@
 """Grids, complex fields, spectral operators, and spatial integrals.
 
-Two grid kinds:
+Two grid kinds, each with one cached geometry, ``geometry(grid)``: the one
+seam between them.  A ``TensorGeometry`` or ``RadialGeometry`` has the same
+members: the coordinate ``mesh``, the integrals ``mass``, ``integral``,
+``variance`` and ``shell_mass`` of |u|^2, the squared seminorm ``hs_sq``,
+the bound ``norm_bound`` of hs_norm(u, 1)**2 / mass(u), and the kind facts
+``origin_node`` and ``symmetry``.  The public functions read it and do not
+branch on the kind.
 
 * ``tensor``: periodic box [-L/2, L/2)^n, n <= 3, N points per axis (power of
   two), trapezoid quadrature, spectral derivatives with wavenumbers
-  xi = 2 pi k / L, k in {-N/2, ..., N/2-1}.
+  xi = 2 pi k / L, k in {-N/2, ..., N/2-1}.  Its geometry owns the
+  coordinate and wavenumber axes and their per-axis squares, so sums
+  against |x|^2 and |xi|^2 are taken from axis marginals.
 * ``radial``: cell-centered uniform radial line for n >= 3; nodes at
   (j+1/2) h with h = r_max / N so the singular weight never sees r = 0.
-  Every radial formula reads one cached ``radial_geometry(grid)``: the node
-  radii, the node weights S_{n-1} r^(n-1) h (the quadrature), the spacing
-  and the face conductances.  The radial Laplacian is a flux-form
-  tridiagonal stencil built from them to be self-adjoint with respect to
-  exactly that quadrature (so Crank-Nicolson steps conserve the discrete
-  mass) and exact on quadratics at every node including the innermost cell.
+  Its geometry owns the node radii, the node weights S_{n-1} r^(n-1) h (the
+  quadrature), the spacing and the face conductances.  The radial Laplacian
+  is a flux-form tridiagonal stencil built from them to be self-adjoint
+  with respect to exactly that quadrature (so Crank-Nicolson steps conserve
+  the discrete mass) and exact on quadratics at every node including the
+  innermost cell.
   The last conductance is the outer face's (Dirichlet: u = 0 beyond r_max);
   the stencil and the H1 seminorm both read it, so they cannot disagree
   about the boundary.
@@ -150,29 +158,6 @@ class PotentialWeight:
         return self._hash
 
 
-@lru_cache(maxsize=64)
-def _axis(grid: GridSpec) -> np.ndarray:
-    h = grid.spacing
-    return -0.5 * grid.extent + h * np.arange(grid.points)
-
-
-@lru_cache(maxsize=64)
-def _wavenumber_axis(grid: GridSpec) -> np.ndarray:
-    """xi = 2 pi k / L along one axis, in FFT order."""
-    if grid.kind != "tensor":
-        raise ValueError("wavenumbers are defined on tensor grids only")
-    return 2.0 * math.pi * scipy.fft.fftfreq(grid.points, d=grid.spacing)
-
-
-@lru_cache(maxsize=64)
-def mesh(grid: GridSpec):
-    """Coordinate arrays: n sparse, broadcastable axes for tensor grids
-    (``np.broadcast_arrays`` makes them dense), (r,) for radial."""
-    if grid.kind == "radial":
-        return (radial_geometry(grid).radii,)
-    return tuple(np.meshgrid(*([_axis(grid)] * grid.n), indexing="ij", sparse=True))
-
-
 def _radial_table(axes, f=None, dtype=np.float64) -> np.ndarray:
     """f(s) at every node of the tensor product of ``axes``, where s is the
     node's sum of squares ((0 + a_0^2) + a_1^2) + ..., as a new array of
@@ -218,44 +203,122 @@ def _distinct(values: np.ndarray):
     return np.array(list(first)), np.array(inverse, dtype=np.intp)
 
 
-def radius_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
-    """f(|x|^2) at every node (|x|^2 itself when ``f`` is None), built on
-    each call by ``_radial_table``; the caller owns the array."""
-    return _radial_table(mesh(grid), f, dtype)
-
-
-def wavenumber_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
-    """f(|xi|^2) at every wavenumber (|xi|^2 itself when ``f`` is None),
-    built on each call by ``_radial_table``; the caller owns the array."""
-    return _radial_table([_wavenumber_axis(grid)] * grid.n, f, dtype)
-
-
-@lru_cache(maxsize=64)
-def _square_split(grid: GridSpec, spectral: bool):
-    """|x|^2 (|xi|^2 when ``spectral``) on a tensor grid as first[i] +
-    rest[j]: ``first`` holds the squares along axis 0, ``rest`` the sums of
-    squares over the flattened (n-1)-d cross-section of the other axes
-    ([0.0] when n = 1)."""
-    axis = _wavenumber_axis(grid) if spectral else _axis(grid)
-    return axis**2, _radial_table([axis] * (grid.n - 1)).ravel()
-
-
-def _split_sum(grid: GridSpec, spectral: bool, a: np.ndarray) -> float:
-    """Sum over a tensor grid of |x|^2 (|xi|^2 when ``spectral``) times
-    ``a``, which holds k values per node in row order (k = 2 for (re^2,
-    im^2) pairs).  Taken as the axis-0 marginal (each row summed pairwise)
-    against ``first`` and the column marginal against ``rest``: two passes
-    over ``a`` and no full-size table."""
-    first, rest = _square_split(grid, spectral)
-    a = a.reshape(grid.points, -1)
-    rows = a.sum(axis=1)
-    cols = a.sum(axis=0).reshape(rest.size, -1)
-    return float(np.sum(first * rows) + np.sum(rest[:, None] * cols))
-
-
 def _frozen(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
+
+
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    """|values|^2 formed as re^2 + im^2 (no hypot): the density of every
+    quadratic integral.  A multi-axis array takes im^2 one axis-0 plane at
+    a time, so the result is its only full-size array."""
+    out = np.square(values.real)
+    if values.ndim == 1:
+        out += np.square(values.imag)
+    else:
+        for plane, imag in zip(out, values.imag):
+            plane += np.square(imag)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class TensorGeometry:
+    """A tensor grid's coordinate and wavenumber axes and their per-axis
+    squares, built on first use.  Integrals take the cell measure and sum by
+    einsum, which stays in NumPy (np.dot would hand a 64^3 product to
+    OpenBLAS threads, which then compete with the FFT workers)."""
+
+    grid: GridSpec
+    origin_node = True  # the origin is a node, where |x|^-b needs delta > 0
+    symmetry = "finite_variance"  # what the blow-up classifier may assume
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        return _frozen(-0.5 * self.grid.extent + self.grid.spacing * np.arange(self.grid.points))
+
+    @cached_property
+    def wavenumber_axis(self) -> np.ndarray:
+        """xi = 2 pi k / L along one axis, in FFT order."""
+        return _frozen(2.0 * math.pi * scipy.fft.fftfreq(self.grid.points, d=self.grid.spacing))
+
+    @cached_property
+    def mesh(self):
+        """n sparse axes; ``np.broadcast_arrays`` makes them dense."""
+        return tuple(np.meshgrid(*([self.axis] * self.grid.n), indexing="ij", sparse=True))
+
+    @cached_property
+    def _splits(self):
+        """|x|^2 and |xi|^2 (items False and True) as first[i] + rest[j]: the
+        squares along axis 0 and the sums of squares over the flattened
+        cross-section of the other axes ([0.0] when n = 1)."""
+        axes = (self.axis, self.wavenumber_axis)
+        return tuple((a**2, _radial_table([a] * (self.grid.n - 1)).ravel()) for a in axes)
+
+    def _split_sum(self, spectral: bool, a: np.ndarray) -> float:
+        """Sum of |x|^2 (|xi|^2 when ``spectral``) times ``a``, k values per
+        node in row order (k = 2 for (re^2, im^2) pairs), as its axis-0 and
+        column marginals against first and rest: no full-size table."""
+        first, rest = self._splits[spectral]
+        a = a.reshape(self.grid.points, -1)
+        rows = a.sum(axis=1)
+        cols = a.sum(axis=0).reshape(rest.size, -1)
+        return float(np.sum(first * rows) + np.sum(rest[:, None] * cols))
+
+    def mass(self, values: np.ndarray, a2=None) -> float:
+        """Squared L2 norm of ``values``: their (re, im) pairs contracted with
+        themselves, with no full-size temporary; ``a2`` is not read."""
+        pairs = np.ascontiguousarray(values).view(np.float64).ravel()
+        return float(np.einsum("i,i->", pairs, pairs) * self.grid.cell_measure)
+
+    def integral(self, table: np.ndarray, a2: np.ndarray) -> float:
+        """Integral of table * a2."""
+        return float(np.einsum("i,i->", table.ravel(), a2.ravel()) * self.grid.cell_measure)
+
+    def variance(self, a2: np.ndarray) -> float:
+        return self._split_sum(False, a2) * self.grid.cell_measure
+
+    def shell_mass(self, a2: np.ndarray) -> float:
+        """Mass where |x_i| >= 0.45 L on some axis, summed as disjoint slabs
+        (axis k outside the cut, the axes before it inside), views of a2, so
+        no mask is built or kept."""
+        grid = self.grid
+        inner = np.flatnonzero(np.abs(self.axis) < 0.45 * grid.extent)
+        core = slice(inner[0], inner[-1] + 1)
+        total = 0.0
+        for axis in range(grid.n):
+            for outer in (slice(0, core.start), slice(core.stop, None)):
+                total += np.sum(a2[(core,) * axis + (outer,)])
+        return float(total * grid.cell_measure)
+
+    def hs_sq(self, values: np.ndarray, s: float) -> float:
+        """Sum of |xi|^(2s) |uhat|^2, from a copy of ``values`` transformed
+        and squared in place as (re, im) pairs.  s = 1 sums |xi|^2 = xi_0^2 +
+        |xi'|^2 by axis marginals; other s build |xi|^(2s) for the call."""
+        uhat = scipy.fft.fftn(values.copy(), workers=thread_count(), overwrite_x=True)
+        pairs = uhat.view(np.float64)
+        pairs *= pairs
+        if s == 1:
+            with np.errstate(invalid="ignore"):  # 0 * inf, handled below
+                total = self._split_sum(True, pairs)
+        else:
+            def power(ksq):
+                ksq **= s
+                return ksq
+
+            multiplier = _radial_table([self.wavenumber_axis] * self.grid.n, power)
+            total = float(np.einsum("i,ik->", multiplier.ravel(), pairs.reshape(-1, 2)))
+        # an overflowed square times the mean's zero multiplier is NaN; a
+        # finite field's seminorm then is inf, so blow-up checks still fire
+        if math.isnan(total) and np.all(np.isfinite(values.view(np.float64))):
+            total = math.inf
+        return total * self.grid.cell_measure / values.size
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """The largest |xi|^2, exact by Parseval (the Nyquist mode attains
+        it), taken as n times the largest xi^2 of one axis, which equals the
+        largest entry of ``wavenumber_sq_values`` bit for bit."""
+        return self.grid.n * float(np.max(self.wavenumber_axis**2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +335,12 @@ class RadialGeometry:
     r_max: float
     spacing: float
     radii: np.ndarray
+    origin_node = False  # the first node sits at h/2
+    symmetry = "radial"
+
+    @cached_property
+    def mesh(self):
+        return (self.radii,)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -305,18 +374,80 @@ class RadialGeometry:
         """The node weights where r >= 0.9 r_max, 0 elsewhere."""
         return _frozen(np.where(self.radii >= 0.9 * self.r_max, self.weights, 0.0))
 
+    def mass(self, values: np.ndarray, a2=None) -> float:
+        """Squared L2 norm of ``values``, from their a2 = |values|^2 when given."""
+        return float(np.dot(self.weights, _abs_sq(values) if a2 is None else a2))
+
+    def integral(self, table: np.ndarray, a2: np.ndarray) -> float:
+        """Integral of table * a2."""
+        return float(np.dot(self.weights, table * a2))
+
+    def variance(self, a2: np.ndarray) -> float:
+        return float(np.dot(self.variance_table, a2))
+
+    def shell_mass(self, a2: np.ndarray) -> float:
+        return float(np.dot(self.shell_table, a2))
+
+    def hs_sq(self, values: np.ndarray, s: float) -> float:
+        """<u, -L_h u> in the node weights, summed over the faces, the outer
+        one included: the discrete Dirichlet form of the radial Laplacian.
+        Only s = 1."""
+        if s != 1:
+            raise ValueError("radial grids support only s = 0 and s = 1")
+        diff = np.empty_like(values)
+        np.subtract(values[1:], values[:-1], out=diff[:-1])
+        diff[-1] = -values[-1]  # the outer face: u = 0 beyond r_max
+        pairs = diff.view(np.float64).reshape(-1, 2)
+        pairs *= pairs  # |diff|^2 as (re^2, im^2) pairs, summed against f at once
+        return float(sphere_area(self.n) * np.dot(self.conductances, pairs).sum() / self.spacing)
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """The largest absolute row sum (Gershgorin) of D^1/2 Lap_h D^-1/2,
+        D the node weights, off-diagonal entries sqrt(upper_i lower_{i+1}):
+        -Lap_h is self-adjoint in the node weights, so the Rayleigh quotient
+        hs_norm(u, 1)**2 / mass(u) stays below this matrix's spectral radius."""
+        bands = self.bands.real
+        coupling = np.sqrt(bands[0, 1:] * bands[2, :-1])
+        rows = np.abs(bands[1])
+        rows[:-1] += coupling
+        rows[1:] += coupling
+        return float(rows.max())
+
 
 @lru_cache(maxsize=64)
-def radial_geometry(grid: GridSpec) -> RadialGeometry:
-    """The one radial table of ``grid``, and the only radial reader of its spacing."""
-    if grid.kind != "radial":
-        raise ValueError("radial geometry is defined on radial grids only")
+def geometry(grid: GridSpec):
+    """The cached ``TensorGeometry`` or ``RadialGeometry`` of ``grid``: the
+    one place outside ``GridSpec`` where the grid kind picks formulas."""
+    if grid.kind == "tensor":
+        return TensorGeometry(grid)
     h = grid.spacing
     return RadialGeometry(grid.n, grid.r_max, h, _frozen((np.arange(grid.points) + 0.5) * h))
 
 
+def radial_geometry(grid: GridSpec) -> RadialGeometry:
+    """``geometry(grid)`` of a radial grid; refuses a tensor grid."""
+    if grid.kind != "radial":
+        raise ValueError("radial geometry is defined on radial grids only")
+    return geometry(grid)
+
+
+def radius_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
+    """f(|x|^2) at every node (|x|^2 itself when ``f`` is None), built on
+    each call by ``_radial_table``; the caller owns the array."""
+    return _radial_table(geometry(grid).mesh, f, dtype)
+
+
+def wavenumber_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
+    """f(|xi|^2) at every wavenumber (|xi|^2 itself when ``f`` is None),
+    built on each call by ``_radial_table``; the caller owns the array."""
+    if grid.kind != "tensor":
+        raise ValueError("wavenumbers are defined on tensor grids only")
+    return _radial_table([geometry(grid).wavenumber_axis] * grid.n, f, dtype)
+
+
 def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
-    if weight.delta == 0.0 and grid.kind == "tensor" and weight.b > 0:
+    if weight.delta == 0.0 and weight.b > 0 and geometry(grid).origin_node:
         raise ValueError("delta = 0 is only permitted on radial grids")
     return _weight_values_cached(grid, weight.b, weight.delta)
 
@@ -331,65 +462,9 @@ def _weight_values_cached(grid: GridSpec, b: float, delta: float) -> np.ndarray:
     return radius_sq_values(grid, weight)
 
 
-# -- spatial integrals: each is a dot product of |u|^2 with a cached table
-# (the weighted potential's: the run's density w |u|^sigma).  Radial tables
-# carry the node weights; tensor tables are plain and the sum takes the scalar
-# cell measure.  A tensor grid caches no table but the weight the run needs
-# anyway: the variance, a sum of per-axis terms, is taken from the marginals
-# of |u|^2 (``_split_sum``).
-
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    """|values|^2 formed as re^2 + im^2 (no hypot): the density of every
-    quadratic integral.  A multi-axis array takes im^2 one axis-0 plane at
-    a time, so the result is its only full-size array."""
-    out = np.square(values.real)
-    if values.ndim == 1:
-        out += np.square(values.imag)
-    else:
-        for plane, imag in zip(out, values.imag):
-            plane += np.square(imag)
-    return out
-
-
-def _quadrature(grid: GridSpec, table: np.ndarray, density: np.ndarray) -> float:
-    """Integral of table * density.  Tensor sums use einsum, which stays in
-    NumPy (np.dot would hand a 64^3 product to OpenBLAS threads)."""
-    if grid.kind == "tensor":
-        return float(np.einsum("i,i->", table.ravel(), density.ravel()) * grid.cell_measure)
-    return float(np.dot(table, density))
-
-
-def _variance(grid: GridSpec, a2: np.ndarray) -> float:
-    if grid.kind == "radial":
-        return _quadrature(grid, radial_geometry(grid).variance_table, a2)
-    return _split_sum(grid, False, a2) * grid.cell_measure
-
-
-def _shell_mass(grid: GridSpec, a2: np.ndarray) -> float:
-    """Mass in the outer 10 percent shell: r >= 0.9 r_max on radial grids,
-    |x_i| >= 0.45 L on some axis of tensor grids.  The tensor shell is summed
-    as disjoint slabs (axis k outside the cut, the axes before it inside),
-    views of a2, so no mask is built or kept."""
-    if grid.kind == "radial":
-        return _quadrature(grid, radial_geometry(grid).shell_table, a2)
-    inner = np.flatnonzero(np.abs(_axis(grid)) < 0.45 * grid.extent)
-    core = slice(inner[0], inner[-1] + 1)
-    total = 0.0
-    for axis in range(grid.n):
-        for outer in (slice(0, core.start), slice(core.stop, None)):
-            total += np.sum(a2[(core,) * axis + (outer,)])
-    return float(total * grid.cell_measure)
-
-
 def mass(u: Field) -> float:
-    """Squared L2 norm by the grid quadrature, summed as re^2 + im^2 (no
-    hypot); tensor grids contract the (re, im) pairs with themselves and
-    allocate no full-size temporary."""
-    grid = u.grid
-    if grid.kind == "tensor":
-        pairs = np.ascontiguousarray(u.values).view(np.float64).ravel()
-        return float(np.einsum("i,i->", pairs, pairs) * grid.cell_measure)
-    return _quadrature(grid, radial_geometry(grid).weights, _abs_sq(u.values))
+    """Squared L2 norm by the grid quadrature, summed as re^2 + im^2."""
+    return geometry(u.grid).mass(u.values)
 
 
 class Moments(NamedTuple):
@@ -404,104 +479,31 @@ class Moments(NamedTuple):
 
 def moments(u: Field, density: np.ndarray) -> Moments:
     """mass, variance, the outer-shell mass fraction (0 for a zero field),
-    the weighted potential and max |u| of ``u`` in one pass: |u|^2 is formed
-    once and each integral is a dot product of it against a cached table
-    (on tensor grids the shell is summed as slabs and the variance from
-    axis marginals).  The weighted potential, the integral of
-    weight(x) |u|^(sigma+2), is taken as that of ``density`` * |u|^2 with
-    ``density`` = weight(x) |u|^sigma (``dynamics.nonlinear_density``)."""
-    grid = u.grid
+    the weighted potential and max |u| of ``u`` from one |u|^2.  The
+    weighted potential, the integral of weight(x) |u|^(sigma+2), is that of
+    ``density`` * |u|^2, ``density`` = weight(x) |u|^sigma
+    (``dynamics.nonlinear_density``)."""
+    geo = geometry(u.grid)
     a2 = _abs_sq(u.values)
-    if grid.kind == "tensor":
-        total = mass(u)
-        potential = _quadrature(grid, density, a2)
-    else:
-        weights = radial_geometry(grid).weights
-        total = _quadrature(grid, weights, a2)
-        potential = _quadrature(grid, weights, density * a2)
+    total = geo.mass(u.values, a2)
     return Moments(
         mass=total,
-        variance=_variance(grid, a2),
-        boundary_mass_fraction=_shell_mass(grid, a2) / total if total else 0.0,
-        weighted_potential=potential,
+        variance=geo.variance(a2),
+        boundary_mass_fraction=geo.shell_mass(a2) / total if total else 0.0,
+        weighted_potential=geo.integral(density, a2),
         max_amp=math.sqrt(a2.max()),
     )
 
 
-@lru_cache(maxsize=64)
-def laplacian_norm_bound(grid: GridSpec) -> float:
-    """rho_h such that hs_norm(u, 1)**2 <= rho_h * mass(u) for every field u
-    on the grid.
-
-    Tensor grids: the largest |xi|^2, exact by Parseval (the Nyquist mode
-    attains it), taken as n times the largest xi^2 of one axis, which
-    equals the largest entry of ``wavenumber_sq_values`` bit for bit.
-    Radial grids: the largest absolute row sum (Gershgorin) of
-    the symmetrised Laplacian D^1/2 Lap_h D^-1/2, D the node weights, whose
-    off-diagonal entries are sqrt(upper_i lower_{i+1}).  hs_norm(u, 1)**2 is
-    <u, -Lap_h u> in the node-weight inner product, in which -Lap_h is
-    self-adjoint, so its Rayleigh quotient stays below the spectral radius
-    of the symmetrised matrix, which no row sum bound undercuts.
-    """
-    if grid.kind == "tensor":
-        return grid.n * float(np.max(_wavenumber_axis(grid) ** 2))
-    bands = radial_geometry(grid).bands.real
-    coupling = np.sqrt(bands[0, 1:] * bands[2, :-1])
-    rows = np.abs(bands[1])
-    rows[:-1] += coupling
-    rows[1:] += coupling
-    return float(rows.max())
-
-
 def hs_norm(u: Field, s: float) -> float:
-    """Homogeneous Sobolev seminorm of order s.
-
-    Tensor grids use the spectral multiplier |xi|^s for any s >= 0; radial
-    grids support s = 0 and s = 1: <u, -L_h u> in the node weights, summed
-    over the faces of the geometry, the outer one included, so it is the
-    discrete Dirichlet form of the radial Laplacian.
-    """
-    if s < 0:
-        raise ValueError("order s must be >= 0")
+    """Homogeneous Sobolev seminorm of order s, a finite s >= 0: the
+    multiplier |xi|^s on tensor grids; on radial grids s = 0 or 1, the
+    discrete Dirichlet form of the radial Laplacian, outer face included."""
+    if not 0 <= s < math.inf:
+        raise ValueError(f"order s must be finite and >= 0, got {s!r}")
     if s == 0:
         return math.sqrt(mass(u))
-    grid = u.grid
-    if grid.kind == "tensor":
-        # sum of multiplier * |uhat|^2: transform a copy in place and square
-        # the output in place as (re, im) pairs.  s = 1 takes |xi|^2 =
-        # xi_0^2 + |xi'|^2 from the marginals of the squares and builds no
-        # full-size table; other s build |xi|^(2s) for the call.  einsum
-        # stays in NumPy; np.dot would hand a product this long to OpenBLAS
-        # threads, which then compete with the FFT workers
-        uhat = scipy.fft.fftn(u.values.copy(), workers=thread_count(), overwrite_x=True)
-        pairs = uhat.view(np.float64)
-        pairs *= pairs
-        if s == 1:
-            with np.errstate(invalid="ignore"):  # 0 * inf, handled below
-                total = _split_sum(grid, True, pairs)
-        else:
-            def power(ksq):
-                ksq **= s
-                return ksq
-
-            multiplier = wavenumber_sq_values(grid, power)
-            total = float(np.einsum("i,ik->", multiplier.ravel(), pairs.reshape(-1, 2)))
-        # an overflowed square times the mean's zero multiplier is NaN; a
-        # finite field's seminorm then is inf, so blow-up checks still fire
-        if math.isnan(total) and np.all(np.isfinite(u.values.view(np.float64))):
-            total = math.inf
-        return math.sqrt(total * grid.cell_measure / u.values.size)
-    if s != 1:
-        raise ValueError("radial grids support only s = 0 and s = 1")
-    geometry = radial_geometry(grid)
-    v = u.values
-    diff = np.empty_like(v)
-    np.subtract(v[1:], v[:-1], out=diff[:-1])
-    diff[-1] = -v[-1]  # the outer face: u = 0 beyond r_max
-    pairs = diff.view(np.float64).reshape(-1, 2)
-    pairs *= pairs  # |diff|^2 as (re^2, im^2) pairs, summed against f at once
-    total = sphere_area(grid.n) * np.dot(geometry.conductances, pairs).sum() / geometry.spacing
-    return math.sqrt(float(total))
+    return math.sqrt(geometry(u.grid).hs_sq(u.values, s))
 
 
 def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray:
@@ -527,11 +529,8 @@ def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarra
 
 def weighted_quadratic(u: Field, a) -> float:
     """Integral of a(x) |u|^2 for a table ``a`` of a(x) over the nodes."""
-    grid = u.grid
-    table = np.broadcast_to(np.asarray(a, dtype=float), grid.shape)
-    if grid.kind == "radial":
-        table = table * radial_geometry(grid).weights
-    return _quadrature(grid, table, _abs_sq(u.values))
+    table = np.broadcast_to(np.asarray(a, dtype=float), u.grid.shape)
+    return geometry(u.grid).integral(table, _abs_sq(u.values))
 
 
 def gaussian_field(
@@ -545,13 +544,17 @@ def gaussian_field(
     elif grid.kind == "radial":
         raise ValueError("radial grids take centered data only")
     # the radial mesh is (r,): |r - 0|^2 is r^2
-    axes = [c - c0 for c, c0 in zip(mesh(grid), center)]
+    axes = [c - c0 for c, c0 in zip(geometry(grid).mesh, center)]
     values = _radial_table(axes, lambda rsq: amplitude * np.exp(-rsq / (2.0 * width**2)), complex)
     return Field(grid=grid, values=values, time_tag=0.0)
 
 
 # -- field dump format: one JSON header line, then raw little-endian ---------
-# complex128 payload (interleaved re, im pairs) in row-major order.
+# complex128 payload (interleaved re, im pairs) in row-major order.  The
+# header names the grid's size by the key of its kind.
+
+_SIZE_KEYS = {"tensor": "extent", "radial": "r_max"}
+
 
 def dump_field(u: Field, path, meta: dict) -> None:
     """Write the field with its run metadata; bit-exact round trip."""
@@ -566,10 +569,8 @@ def dump_field(u: Field, path, meta: dict) -> None:
         "sigma": meta.get("sigma"),
         "lambda": meta.get("lambda"),
     }
-    if grid.kind == "tensor":
-        header["extent"] = grid.extent
-    else:
-        header["r_max"] = grid.r_max
+    size = _SIZE_KEYS[grid.kind]
+    header[size] = getattr(grid, size)
     payload = np.ascontiguousarray(u.values, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -584,7 +585,7 @@ def load_field(path):
         payload = fh.read()
     header = json.loads(header_line.decode("utf-8"))
     try:
-        size = {"tensor": "extent", "radial": "r_max"}[header["kind"]]
+        size = _SIZE_KEYS[header["kind"]]
         grid = GridSpec(header["kind"], header["n"], header["points"], **{size: header[size]})
         values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
         return Field(grid=grid, values=values.copy(), time_tag=header["time_tag"]), header

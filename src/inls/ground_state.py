@@ -164,16 +164,14 @@ def scaled_energy_ratio(c: float, quantities: GroundStateQuantities):
 
 
 def sample_on_grid(profile: GroundStateProfile, grid, scale: float = 1.0):
-    """Sample scale * W on a grid (radial nodes, or |x| on a tensor grid,
-    evaluated once per combination of distinct per-axis squares)."""
-    from .grids import Field, radial_geometry, radius_sq_values
+    """Sample scale * W at |x| = sqrt(|x|^2) of every node, evaluated once
+    per combination of distinct per-axis squares (on radial nodes
+    sqrt(r * r) is r bit for bit)."""
+    from .grids import Field, radius_sq_values
 
-    if grid.kind == "radial":
-        values = (scale * w_eval(profile, radial_geometry(grid).radii)).astype(complex)
-    elif grid.n != profile.n:
-        raise ValueError("tensor grid dimension must match the profile")
-    else:
-        values = radius_sq_values(
-            grid, lambda rsq: scale * w_eval(profile, np.sqrt(rsq, out=rsq)), complex
-        )
+    if grid.n != profile.n:
+        raise ValueError("grid dimension must match the profile")
+    values = radius_sq_values(
+        grid, lambda rsq: scale * w_eval(profile, np.sqrt(rsq, out=rsq)), complex
+    )
     return Field(grid=grid, values=values, time_tag=0.0)

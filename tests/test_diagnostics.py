@@ -30,9 +30,9 @@ from inls.grids import (
     GridSpec,
     PotentialWeight,
     gaussian_field,
+    geometry,
     hs_norm,
     mass,
-    mesh,
     radial_geometry,
     radius_sq_values,
     weight_values,
@@ -314,7 +314,7 @@ def _old_record_fields(u, cfg, h1sq):
     pot = integrate(weight_values(grid, cfg.weight) * np.abs(v) ** (cfg.sigma + 2.0))
     if grid.kind == "tensor":
         shell = np.zeros(grid.shape, dtype=bool)
-        for c in mesh(grid):
+        for c in geometry(grid).mesh:
             shell |= np.abs(c) >= 0.45 * grid.extent
         outer = float(np.sum(density[shell]) * grid.cell_measure)
     else:

@@ -27,10 +27,9 @@ from inls.grids import (
     GridSpec,
     PotentialWeight,
     gaussian_field,
+    geometry,
     hs_norm,
-    laplacian_norm_bound,
     mass,
-    mesh,
     radial_geometry,
     wavenumber_sq_values,
     weight_values,
@@ -46,7 +45,7 @@ class TestStrangStep:
 
     def test_single_mode_phase(self, free_2d_config):
         grid = free_2d_config.grid
-        xs = mesh(grid)
+        xs = geometry(grid).mesh
         xi = (2 * math.pi * 3 / grid.extent, 2 * math.pi * 1 / grid.extent)
         u = Field(grid, np.exp(1j * (xi[0] * xs[0] + xi[1] * xs[1])))
         dt = 0.0173
@@ -661,7 +660,7 @@ def test_kinetic_propagator_equals_the_dense_formula(grid):
 def test_kinetic_propagator_allocates_its_output_and_at_most_1_mib():
     grid = GridSpec.tensor(3, 16.0, 64)
     dynamics._kinetic_propagator.cache_clear()
-    grids._wavenumber_axis(grid)
+    grids.geometry(grid).wavenumber_axis
     tracemalloc.start()
     try:
         prop = dynamics._kinetic_propagator(grid, 1e-3)
@@ -773,7 +772,7 @@ def _blowup_radial_config(**changes):
 def _detection_ceiling(cfg, u0):
     """The blow-up ratio above which ``run`` skips the check on every step
     that writes no record: sqrt(2 rho_h M) / h1_0."""
-    return math.sqrt(2.0 * laplacian_norm_bound(cfg.grid) * mass(u0)) / hs_norm(u0, 1)
+    return math.sqrt(2.0 * geometry(cfg.grid).norm_bound * mass(u0)) / hs_norm(u0, 1)
 
 
 class TestSkippedBlowupCheck:

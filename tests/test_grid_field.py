@@ -23,11 +23,10 @@ from inls.grids import (
     abs_power,
     dump_field,
     gaussian_field,
+    geometry,
     hs_norm,
-    laplacian_norm_bound,
     load_field,
     mass,
-    mesh,
     moments,
     radial_geometry,
     radius_sq_values,
@@ -155,7 +154,7 @@ class TestSobolevNorm:
 
     def test_plane_wave_multiplier(self):
         grid = GridSpec.tensor(1, 8.0, 64)
-        x = mesh(grid)[0]
+        x = geometry(grid).mesh[0]
         xi0 = 2 * math.pi * 3 / 8.0
         u = Field(grid, np.exp(1j * xi0 * x))
         for s in (0.5, 1.0, 2.0):
@@ -171,6 +170,15 @@ class TestSobolevNorm:
         grid = GridSpec.radial(3, 16.0, 4096)
         u = gaussian_field(grid, 1.0, 1.0)
         assert hs_norm(u, 1) ** 2 == pytest.approx(1.5 * math.pi ** 1.5, rel=1e-5)
+
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "grid", [GridSpec.tensor(2, 10.0, 16), GridSpec.radial(3, 8.0, 64)], ids=["tensor", "radial"]
+    )
+    def test_refuses_an_order_that_is_not_finite_and_nonnegative(self, grid, s):
+        # a NaN or infinite order must not read as blow-up (an inf seminorm)
+        with pytest.raises(ValueError, match="order s"):
+            hs_norm(gaussian_field(grid, 1.0, 1.0), s)
 
     def test_radial_rejects_fractional(self):
         grid = GridSpec.radial(3, 8.0, 64)
@@ -299,7 +307,7 @@ class TestMassSumOfSquares:
             assert np.array_equal(grids._abs_sq(v), v.real**2 + v.imag**2)
 
 
-# -- hs_norm(u, 1)**2 <= laplacian_norm_bound(grid) * mass(u) ---------------
+# -- hs_norm(u, 1)**2 <= geometry(grid).norm_bound * mass(u) -----------------
 
 _BOUND_GRIDS = [GridSpec.tensor(n, 10.0, 16) for n in (1, 2, 3)] + [
     GridSpec.radial(n, 10.0, 64) for n in (3, 4, 5)
@@ -323,7 +331,7 @@ class TestLaplacianNormBound:
         else:
             values *= np.exp(-damping * radial_geometry(grid).radii)
         u = Field(grid, values)
-        assert hs_norm(u, 1) ** 2 <= laplacian_norm_bound(grid) * mass(u) * (1 + 1e-12)
+        assert hs_norm(u, 1) ** 2 <= geometry(grid).norm_bound * mass(u) * (1 + 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tensor_nyquist_mode_attains_bound(self, n):
@@ -333,7 +341,7 @@ class TestLaplacianNormBound:
             nyquist *= (-1.0) ** axis
         u = Field(grid, nyquist)
         ratio = hs_norm(u, 1) ** 2 / mass(u)
-        assert ratio == pytest.approx(laplacian_norm_bound(grid), rel=1e-12)
+        assert ratio == pytest.approx(geometry(grid).norm_bound, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_radial_bound_within_a_tenth_of_top_eigenvalue(self, n):
@@ -347,7 +355,7 @@ class TestLaplacianNormBound:
             sym = -root[:, None] * lap / root[None, :]
             assert np.allclose(sym, sym.T, rtol=0.0, atol=1e-14 * np.abs(sym).max())
             top = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
-            bound = laplacian_norm_bound(grid)
+            bound = geometry(grid).norm_bound
             assert top <= bound <= 1.1 * top, points
 
 
@@ -406,7 +414,8 @@ class TestSeparableTables:
         ksq = _dense_sum_of_squares(grid, spectral=True)
         assert np.array_equal(radius_sq_values(grid), rsq)
         assert np.array_equal(wavenumber_sq_values(grid), ksq)
-        for sparse, dense in zip(np.broadcast_arrays(*mesh(grid)), _dense_axes(grid, False)[1]):
+        dense_mesh = _dense_axes(grid, False)[1]
+        for sparse, dense in zip(np.broadcast_arrays(*geometry(grid).mesh), dense_mesh):
             assert np.array_equal(sparse, dense)
         for b, delta in ((0.5, 0.25), (1.0, 0.1), (2.0, 0.3), (4.0 / 3.0, 1.0), (0.0, 0.0)):
             expected = (rsq + delta**2) ** (-0.5 * b)
@@ -414,7 +423,7 @@ class TestSeparableTables:
         for dt in (1e-3, 7e-4, 0.0173):
             expected = dynamics._unit_phase(-0.5 * dt * ksq)
             assert np.array_equal(dynamics._kinetic_propagator(grid, dt), expected)
-        assert laplacian_norm_bound(grid) == float(ksq.max())
+        assert geometry(grid).norm_bound == float(ksq.max())
 
     @pytest.mark.parametrize("grid", _SEPARABLE_GRIDS)
     def test_h1_and_variance_against_fsum(self, grid):
@@ -510,7 +519,7 @@ class TestRadialTables:
     )
     def test_allocates_its_output_and_at_most_1_mib(self, build):
         grid = GridSpec.tensor(3, 16.0, 64)
-        mesh(grid)
+        geometry(grid).mesh
         tracemalloc.start()
         try:
             values = build(grid).values
@@ -557,7 +566,7 @@ class TestRadialGeometry:
         assert np.array_equal(
             geometry.shell_table, np.where(r >= 0.9 * grid.r_max, weights, 0.0)
         )
-        assert np.array_equal(mesh(grid)[0], r)
+        assert np.array_equal(geometry.mesh[0], r)
         assert np.array_equal(radius_sq_values(grid), r**2)
         for b, delta in ((0.5, 0.0), (1.0, 0.1), (4.0 / 3.0, 1.0)):
             expected = (r**2 + delta**2) ** (-0.5 * b)
@@ -568,7 +577,7 @@ class TestRadialGeometry:
         rows = np.abs(diag)
         rows[:-1] += coupling
         rows[1:] += coupling
-        assert laplacian_norm_bound(grid) == float(rows.max())
+        assert geometry.norm_bound == float(rows.max())
         for name in ("radii", "weights", "conductances", "bands", "variance_table", "shell_table"):
             assert not getattr(geometry, name).flags.writeable, name
 
@@ -598,6 +607,127 @@ class TestRadialGeometry:
     def test_refuses_tensor_grid(self):
         with pytest.raises(ValueError):
             radial_geometry(GridSpec.tensor(3, 10.0, 16))
+
+
+_CONTRACT_GRIDS = [
+    pytest.param(GridSpec.radial(n, 12.0, 256), id=f"radial{n}d") for n in (3, 5)
+] + [
+    pytest.param(GridSpec.tensor(n, 12.0, points), id=f"tensor{n}d")
+    for n, points in ((1, 64), (2, 32), (3, 16))
+]
+
+
+def _inline_members(grid, v, table):
+    """Every geometry member as the grid-kind branches of ``grids`` wrote it
+    inline before the geometries existed, for the field values ``v`` and
+    a real ``table`` over the nodes."""
+    a2 = v.real**2 + v.imag**2
+    if grid.kind == "radial":
+        n, points, h = grid.n, grid.points, grid.r_max / grid.points
+        r = (np.arange(points) + 0.5) * h
+        w = sphere_area(n) * r ** (n - 1) * h
+        f = n * h * np.cumsum(r ** (n - 1)) / ((np.arange(points) + 1.0) * h)
+        diff = np.empty_like(v)
+        diff[:-1] = v[1:] - v[:-1]
+        diff[-1] = -v[-1]
+        pairs = np.square(diff.view(np.float64).reshape(-1, 2))
+        denom = r ** (n - 1) * h * h
+        diag = -(f + np.concatenate(([0.0], f[:-1]))) / denom
+        coupling = np.sqrt(f[:-1] / denom[:-1] * (f[:-1] / denom[1:]))
+        rows = np.abs(diag)
+        rows[:-1] += coupling
+        rows[1:] += coupling
+        return {
+            "mesh": (r,),
+            "mass": float(np.dot(w, a2)),
+            "integral": float(np.dot(w, table * a2)),
+            "variance": float(np.dot(r**2 * w, a2)),
+            "shell_mass": float(np.dot(np.where(r >= 0.9 * grid.r_max, w, 0.0), a2)),
+            "hs_sq": {1: float(sphere_area(n) * np.dot(f, pairs).sum() / h)},
+            "norm_bound": float(rows.max()),
+            "origin_node": False,
+            "symmetry": "radial",
+        }
+    n, points, h = grid.n, grid.points, grid.extent / grid.points
+    cell = h**n
+    axis = -0.5 * grid.extent + h * np.arange(points)
+    xi = 2.0 * math.pi * scipy.fft.fftfreq(points, d=h)
+
+    def split_sum(ax, a):
+        # sum of |x|^2 (|xi|^2) times a, from the axis-0 and column marginals
+        rest = np.zeros([points] * (n - 1))
+        for c in np.meshgrid(*([ax] * (n - 1)), indexing="ij"):
+            rest += c**2
+        rest = rest.ravel()
+        a = a.reshape(points, -1)
+        cols = a.sum(axis=0).reshape(rest.size, -1)
+        return float(np.sum(ax**2 * a.sum(axis=1)) + np.sum(rest[:, None] * cols))
+
+    def spectral_pairs():
+        uhat = scipy.fft.fftn(v.copy(), workers=grids.thread_count(), overwrite_x=True)
+        pairs = uhat.view(np.float64)
+        pairs *= pairs
+        return pairs
+
+    ksq = np.zeros(grid.shape)
+    for c in np.meshgrid(*([xi] * n), indexing="ij"):
+        ksq += c**2
+    ksq **= 0.5
+    half = float(np.einsum("i,ik->", ksq.ravel(), spectral_pairs().reshape(-1, 2)))
+    core = np.flatnonzero(np.abs(axis) < 0.45 * grid.extent)
+    core = slice(core[0], core[-1] + 1)
+    shell = 0.0
+    for k in range(n):
+        for outer in (slice(0, core.start), slice(core.stop, None)):
+            shell += np.sum(a2[(core,) * k + (outer,)])
+    flat = np.ascontiguousarray(v).view(np.float64).ravel()
+    return {
+        "mesh": tuple(np.meshgrid(*([axis] * n), indexing="ij", sparse=True)),
+        "mass": float(np.einsum("i,i->", flat, flat) * cell),
+        "integral": float(np.einsum("i,i->", table.ravel(), a2.ravel()) * cell),
+        "variance": split_sum(axis, a2) * cell,
+        "shell_mass": float(shell * cell),
+        "hs_sq": {
+            1: split_sum(xi, spectral_pairs()) * cell / v.size,
+            0.5: half * cell / v.size,
+        },
+        "norm_bound": n * float(np.max(xi**2)),
+        "origin_node": True,
+        "symmetry": "finite_variance",
+    }
+
+
+class TestGeometryContract:
+    """Both geometries have one set of members, and each member equals the
+    formula it replaced bit for bit."""
+
+    @pytest.mark.parametrize("grid", _CONTRACT_GRIDS)
+    def test_members_equal_the_inline_formulas(self, grid):
+        geo = geometry(grid)
+        assert geometry(grid) is geo
+        rng = np.random.default_rng(grid.n * grid.points)
+        window = gaussian_field(grid, 1.3, 2.5).values
+        v = window * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        table = np.exp(4.0 * rng.standard_normal(grid.shape))  # few terms dominate each sum
+        expected = _inline_members(grid, v, table)
+        a2 = grids._abs_sq(v)
+        for got, want in zip(geo.mesh, expected["mesh"], strict=True):
+            assert np.array_equal(_bits(got), _bits(want))
+        got = {
+            "mass": geo.mass(v),
+            "mass from a2": geo.mass(v, a2),
+            "integral": geo.integral(table, a2),
+            "variance": geo.variance(a2),
+            "shell_mass": geo.shell_mass(a2),
+            "norm_bound": geo.norm_bound,
+        }
+        got.update({f"hs_sq {s}": geo.hs_sq(v, s) for s in expected["hs_sq"]})
+        want = {name: expected[name.split()[0]] for name in got if not name.startswith("hs")}
+        want.update({f"hs_sq {s}": value for s, value in expected["hs_sq"].items()})
+        for name, value in got.items():
+            assert _bits(np.float64(value)) == _bits(np.float64(want[name])), name
+        assert geo.origin_node is expected["origin_node"]
+        assert geo.symmetry == expected["symmetry"]
 
 
 class TestWeightedIntegrals:
@@ -663,7 +793,7 @@ class TestVariance:
         u = gaussian_field(grid, 1.0, 1.0)
         assert weighted_quadratic(u, np.ones(grid.shape)) == pytest.approx(mass(u), rel=1e-14)
         assert weighted_quadratic(
-            u, sum(ci ** 2 for ci in mesh(grid))
+            u, sum(ci ** 2 for ci in geometry(grid).mesh)
         ) == pytest.approx(variance(u), rel=1e-14)
 
 
@@ -687,7 +817,7 @@ def laplacian_apply(u):
 class TestLaplacian:
     def test_plane_wave_eigenfunction(self):
         grid = GridSpec.tensor(2, 8.0, 32)
-        xs = mesh(grid)
+        xs = geometry(grid).mesh
         xi = (2 * math.pi * 2 / 8.0, 2 * math.pi * 5 / 8.0)
         u = Field(grid, np.exp(1j * (xi[0] * xs[0] + xi[1] * xs[1])))
         lap = laplacian_apply(u)

@@ -7,9 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from inls.grids import GridSpec, radial_geometry
 from inls.ground_state import (
     GroundStateProfile,
     compute_quantities,
+    sample_on_grid,
     scaled_energy_ratio,
     sphere_area,
     w_eval,
@@ -58,6 +60,27 @@ class TestProfileEvaluation:
             GroundStateProfile(3, 2.0)
         with pytest.raises(ValueError):
             GroundStateProfile(3, 0.5, 0.0)
+
+
+class TestSampleOnGrid:
+    @pytest.mark.parametrize(
+        "grid", [GridSpec.radial(4, 16.0, 64), GridSpec.tensor(2, 16.0, 16)], ids=["radial", "tensor"]
+    )
+    def test_refuses_a_grid_of_another_dimension(self, grid):
+        with pytest.raises(ValueError, match="dimension"):
+            sample_on_grid(GroundStateProfile(3, 0.5), grid)
+
+    @pytest.mark.parametrize(
+        "n, r_max, points", [(3, 32.0, 2048), (3, 16.0, 512), (4, 10.0, 64), (5, 7.3, 1000)]
+    )
+    def test_radial_samples_are_w_at_the_nodes_bit_for_bit(self, n, r_max, points):
+        # the nodes are sampled at sqrt(r * r), which is r exactly
+        grid = GridSpec.radial(n, r_max, points)
+        profile = GroundStateProfile(n, 0.5, 1.0)
+        r = radial_geometry(grid).radii
+        expected = (0.4995 * w_eval(profile, r)).astype(complex)
+        values = sample_on_grid(profile, grid, 0.4995).values
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSigma1:
