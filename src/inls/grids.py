@@ -44,10 +44,13 @@ THREADS_ENV = "INLS_THREADS"
 
 def thread_count() -> int:
     """Worker count for internal parallelism (FFT): INLS_THREADS when set and
-    non-empty, else the CPU count.  Raises ValueError unless INLS_THREADS is
-    a positive integer."""
+    non-empty, else the number of CPUs this process may run on (its affinity
+    mask where the platform reports one, else the CPU count).  Raises
+    ValueError unless INLS_THREADS is a positive integer."""
     value = os.environ.get(THREADS_ENV)
     if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(value)
@@ -78,11 +81,15 @@ class GridSpec:
                 raise ValueError("tensor grid needs a positive, finite extent")
             if self.points & (self.points - 1):
                 raise ValueError("tensor grid points must be a power of two")
+            if self.r_max != 0.0:
+                raise ValueError("a tensor grid takes no r_max")
         else:
             if self.n < 3:
                 raise ValueError("radial grids require n >= 3")
             if not 0 < self.r_max < math.inf:
                 raise ValueError("radial grid needs a positive, finite r_max")
+            if self.extent != 0.0:
+                raise ValueError("a radial grid takes no extent")
         # every per-grid table is an lru_cache keyed on the grid, so the hash
         # is taken once; the kind enters as a bool, whose hash (unlike a
         # str's) is the same in every process, so a pickled grid keeps it

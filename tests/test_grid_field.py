@@ -78,6 +78,28 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             Field(grid, np.zeros(16, dtype=complex))
 
+    def test_other_kinds_size_refused(self):
+        # it would enter equality and the hash, but no dump records it
+        with pytest.raises(ValueError, match="tensor grid takes no r_max"):
+            GridSpec("tensor", 2, 16, extent=8.0, r_max=5.0)
+        with pytest.raises(ValueError, match="radial grid takes no extent"):
+            GridSpec("radial", 3, 64, extent=8.0, r_max=5.0)
+
+
+class TestThreadCount:
+    @pytest.fixture(autouse=True)
+    def _unset(self, monkeypatch):
+        monkeypatch.delenv(grids.THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_defaults_to_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert grids.thread_count() == 1
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert grids.thread_count() == 8
+
 
 class TestValueHashes:
     """GridSpec and PotentialWeight key every lru_cache table and take their
@@ -420,9 +442,10 @@ class TestSeparableTables:
         for b, delta in ((0.5, 0.25), (1.0, 0.1), (2.0, 0.3), (4.0 / 3.0, 1.0), (0.0, 0.0)):
             expected = (rsq + delta**2) ** (-0.5 * b)
             assert np.array_equal(weight_values(grid, PotentialWeight(b, delta)), expected)
-        for dt in (1e-3, 7e-4, 0.0173):
-            expected = dynamics._unit_phase(-0.5 * dt * ksq)
-            assert np.array_equal(dynamics._kinetic_propagator(grid, dt), expected)
+        xi = _dense_axes(grid, True)[0]
+        for dt in (1e-3, 7e-4, 0.0173):  # the propagator is kept per axis
+            expected = dynamics._unit_phase(-0.5 * dt * xi**2)
+            assert np.array_equal(dynamics._kinetic_propagator(grid, dt)[0], expected)
         assert geometry(grid).norm_bound == float(ksq.max())
 
     @pytest.mark.parametrize("grid", _SEPARABLE_GRIDS)
@@ -886,6 +909,18 @@ class TestFieldDump:
             assert loaded.time_tag == 0.375
             assert header["sigma"] == 3.0
             assert loaded.values.tobytes() == u.values.tobytes()  # bit-exact
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec.tensor(n, 8.0, 16) for n in (1, 2, 3)] + [GridSpec.radial(3, 5.0, 64)],
+        ids=["tensor1d", "tensor2d", "tensor3d", "radial"],
+    )
+    def test_round_trip_returns_an_equal_grid(self, grid, tmp_path):
+        path = tmp_path / "dump.bin"
+        dump_field(gaussian_field(grid, 1.0, 1.0), path, {})
+        loaded, _ = load_field(path)
+        assert loaded.grid == grid and hash(loaded.grid) == hash(grid)
+        assert (loaded.grid.extent, loaded.grid.r_max) == (grid.extent, grid.r_max)
 
     def test_header_is_json_line(self, tmp_path):
         grid = GridSpec.radial(3, 8.0, 64)
