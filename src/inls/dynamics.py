@@ -9,13 +9,10 @@ weighted potential from, and the next step starts from.
 
 Tensor grids: Strang splitting with an exact spectral free propagator and
 pointwise nonlinear phases (both substeps preserve the discrete mass to
-roundoff).  Strang splitting is first same as last, so a step leaves its
-trailing half-phase owed (``StepState.owed``) and the next step applies it
-together with its own leading half-phase, as one phase for any pair of step
-sizes; ``settle`` applies it where the field must be seen at a whole step
-(records, the exact blow-up check, the end of a run).  The free propagator
-factors over the axes: on a 3-d grid it is kept per axis and as the factor
-of one axis-0 plane, so a dt change rebuilds O(N^2) entries, not N^3.
+roundoff); the state carries the trailing half-phase into the next step.
+The free propagator factors over the axes: on a 3-d grid it is kept per
+axis and as the factor of one axis-0 plane, so a dt change rebuilds
+O(N^2) entries, not N^3.
 Every phase factor, nonlinear and kinetic, is exp(i theta) built by
 ``_unit_phase`` from one tangent of theta/2, which NumPy vectorises where
 its ``cos`` and ``sin`` are scalar.
@@ -157,28 +154,19 @@ def _kinetic_propagator(grid: GridSpec, dt: float):
     return axis, plane
 
 
-# entries of the 3-d propagator formed at a time by ``_free_flight``: four
-# axis-0 planes at 64^3 (256 KiB of complex scratch), one from 128^3 on
-_FLIGHT_BLOCK = 16384
-
-
 def _free_flight(vhat: np.ndarray, grid: GridSpec, dt: float) -> None:
     """Multiply the C-contiguous spectrum ``vhat`` in place by
-    exp(-i dt |xi|^2).  On a 3-d grid each block of axis-0 planes gets
-    axis[i] * plane, formed in one small scratch array: no full-size
-    temporary and one pass over ``vhat``."""
+    exp(-i dt |xi|^2).  On a 3-d grid each axis-0 plane gets axis[i] * plane,
+    formed in one plane-sized scratch array: no full-size temporary and one
+    pass over ``vhat``."""
     axis, plane = _kinetic_propagator(grid, dt)
     if grid.n < 3:
         vhat *= plane.reshape(grid.shape)
         return
-    rows = vhat.reshape(grid.points, plane.size)
-    count = max(1, _FLIGHT_BLOCK // plane.size)
-    scratch = np.empty((count, plane.size), dtype=np.complex128)
-    for first in range(0, grid.points, count):
-        block = rows[first : first + count]
-        prop = scratch[: len(block)]
-        np.multiply(axis[first : first + count, None], plane, out=prop)
-        block *= prop
+    prop = np.empty_like(plane)
+    for row, a in zip(vhat.reshape(grid.points, plane.size), axis):
+        np.multiply(a, plane, out=prop)
+        row *= prop
 
 
 def nonlinear_density(
@@ -199,11 +187,14 @@ def nonlinear_density(
     return out
 
 
-def _half_phase(density: np.ndarray, cfg: SimConfig, dt: float) -> np.ndarray:
-    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step
-    of size dt, or of two adjacent half-steps whose sizes add up to dt.
-    ``density`` is left unchanged."""
-    return _unit_phase(np.multiply(density, -0.25 * dt * cfg.lam))
+def _half_phase(
+    density: np.ndarray, cfg: SimConfig, dt: float, angle: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step.
+    ``angle``, a real array of the grid's shape, receives half the phase
+    angle and is then consumed by ``_unit_phase``; without it one is
+    allocated.  ``density`` is left unchanged."""
+    return _unit_phase(np.multiply(density, -0.25 * dt * cfg.lam, out=angle))
 
 
 @dataclass
@@ -213,22 +204,18 @@ class StepState:
     ``density`` is w |u|^sigma of the field the state belongs to (None when
     lam = 0); ``adapt_dt`` reads it and the next step starts from it.
     ``phi`` is the radial stepper's relaxed half-step density (None before
-    the first radial step).  ``owed`` is the step size whose trailing
-    nonlinear half-phase the tensor field has not yet received (0 when it
-    is at a whole step); the next step or ``settle`` applies it.  A
-    half-phase has modulus one and leaves |u| and the mass unchanged, so
-    ``density`` is that of the settled field too.  ``factor`` is the last
-    half-phase ``settle`` applied and ``dt`` the step size it was built
-    for: while dt stays the same the next step's leading half-phase equals
-    it (first same as last).  A step consumes the state it is given and
-    returns it refilled for its output.
+    the first radial step).  ``factor`` and ``dt`` are the tensor stepper's
+    trailing half-phase and the dt it was built for.  The half-phase has
+    modulus one and leaves |u| unchanged, so the density taken before it is
+    that of the step's output, and while dt stays the same the next step's
+    leading factor equals it (first same as last).  A step consumes the
+    state it is given and returns it refilled for its output.
     """
 
     density: Optional[np.ndarray]
     phi: Optional[np.ndarray] = None
     factor: Optional[np.ndarray] = None
     dt: Optional[float] = None
-    owed: float = 0.0
 
 
 def start_state(u: Field, cfg: SimConfig) -> StepState:
@@ -236,45 +223,27 @@ def start_state(u: Field, cfg: SimConfig) -> StepState:
     return StepState(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
 
 
-def settle(u: Field, cfg: SimConfig, state: StepState) -> None:
-    """Give ``u`` the half-phase it owes, in place, so that it is the field
-    at a whole step; a field that owes none is left as it is.  The factor
-    is kept in ``state`` for the next step, which reuses it as its leading
-    half-phase when its dt is the same."""
-    if not state.owed:
-        return
-    factor = _half_phase(state.density, cfg, state.owed)
-    u.values *= factor
-    state.factor, state.dt, state.owed = factor, state.owed, 0.0
-
-
 def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] = None):
     """One Strang step on a tensor grid: half nonlinear phase, exact spectral
     free flight, half nonlinear phase.
 
-    ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None).  The
-    leading phase spans the half-step ``u`` owes and this step's first half,
-    exp(-i lam (owed + dt)/2 density): the factor ``settle`` kept when it
-    was built for that span, else one new factor.  Its buffer becomes the
-    FFT work array.  The trailing half-phase is left owed: the returned
-    field is a whole step only after ``settle``, which a call without a
-    ``state`` makes before it returns.  Returns ``(field, state)`` with the
-    density buffer refilled in place for the new field; ``u`` is left
-    unmodified.
+    ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None); the step
+    reuses its factor when it was built for this dt, else frees it and
+    rebuilds it from the density.  Returns ``(field, state)``: the factor's
+    buffer becomes the FFT work array and the density buffer is refilled in
+    place for the new field.
     """
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
-    standalone = state is None
-    if standalone:
+    if state is None:
         state = start_state(u, cfg)
     grid = u.grid
     v = u.values
     if cfg.lam != 0.0:
-        span = state.owed + dt
-        factor = state.factor if state.dt == span else None
+        factor = state.factor if state.dt == dt else None
         state.factor = None  # a stale factor is freed before the rebuild
         if factor is None:
-            factor = _half_phase(state.density, cfg, span)
+            factor = _half_phase(state.density, cfg, dt)
         factor *= u.values
         v = factor
         del factor  # not needed past here; the FFTs below run in place
@@ -286,10 +255,10 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
         time_tag=u.time_tag + dt,
     )
     if cfg.lam != 0.0:
-        nonlinear_density(out, cfg, state.density)
-        state.owed = dt
-        if standalone:
-            settle(out, cfg, state)
+        angle = np.empty(grid.shape)  # first |u| for |u|^sigma, then the angle
+        density = nonlinear_density(out, cfg, state.density, scratch=angle)
+        state.factor, state.dt = _half_phase(density, cfg, dt, angle), dt
+        out.values *= state.factor
     return out, state
 
 
@@ -359,9 +328,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     for 10 consecutive steps; ``non_finite`` on NaN/Inf, read from the live
     mass of each step (on a record step, the record's mass) and confirmed by
     an exact scan only when it is not finite.  A non-finite step appends no
-    record.  A tensor field is settled (``settle``) before every record,
-    before every exact blow-up check and at the end; the live mass does not
-    need it, as a half-phase leaves the mass unchanged.
+    record.
 
     The blow-up check is exact, and it runs on every step that writes a
     record.  On other steps it is skipped when the grid bound
@@ -398,7 +365,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         else:
             pinned = 0
         # a last step that float accumulation of t left within 1e-9 dt of
-        # dt is taken whole, so dt, the propagator and the kept half-phase
+        # dt is taken whole, so dt, the propagator and the carried factor
         # stay the same; a genuinely short final step stays short
         remaining = cfg.t_end - t
         final = abs(remaining - dt) <= 1e-9 * dt
@@ -412,7 +379,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         # grids.mass(u) bit for bit; a non-finite step keeps no record
         record = (steps + 1) % cfg.record_every == 0
         if record:
-            settle(u, cfg, state)
             h1 = hs_norm(u, 1)
             rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1, density=state.density)
             m = rec.mass
@@ -432,7 +398,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         elif h1_0 == 0.0 or rho * m < undetectable:
             continue
         else:
-            settle(u, cfg, state)
             h1 = hs_norm(u, 1)
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
             termination = "blowup_detected"
@@ -440,7 +405,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
                 records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
 
-    settle(u, cfg, state)
     # a loop that ends by its condition has taken a step, so dt is the
     # adapted step size of the last one
     if termination == "completed" and records[-1].t < t:

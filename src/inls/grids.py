@@ -445,12 +445,10 @@ def radius_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
     return _radial_table(geometry(grid).mesh, f, dtype)
 
 
-def wavenumber_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
-    """f(|xi|^2) at every wavenumber (|xi|^2 itself when ``f`` is None),
-    built on each call by ``_radial_table``; the caller owns the array."""
-    if grid.kind != "tensor":
-        raise ValueError("wavenumbers are defined on tensor grids only")
-    return _radial_table([geometry(grid).wavenumber_axis] * grid.n, f, dtype)
+def wavenumber_sq_values(grid: GridSpec) -> np.ndarray:
+    """|xi|^2 at every wavenumber of a tensor grid, built on each call by
+    ``_radial_table``; the caller owns the array."""
+    return _radial_table([geometry(grid).wavenumber_axis] * grid.n)
 
 
 def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:

@@ -18,7 +18,6 @@ from inls.dynamics import (
     nonlinear_density,
     radial_cn_step,
     run,
-    settle,
     start_state,
     strang_step,
 )
@@ -131,20 +130,21 @@ class TestUnitPhase:
         axis, _ = dynamics._kinetic_propagator(cfg.grid, dt)
         assert np.array_equal(axis, dynamics._unit_phase(halved))
 
-    def test_half_phase_allocates_its_output_and_one_angle(self):
+    def test_half_phase_allocates_only_its_output(self):
         cfg = _focusing_3d_config()  # 32^3
         density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        angle = np.empty(cfg.grid.shape)
         tracemalloc.start()
         try:
-            factor = dynamics._half_phase(density, cfg, 1e-3)
+            factor = dynamics._half_phase(density, cfg, 1e-3, angle)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= factor.nbytes + density.nbytes + 4096  # bytes
+        assert peak <= factor.nbytes + 4096  # bytes: no full-size temporary
 
     def test_long_run_mass_drift(self):
         # 3,000 focusing steps at 16^3 with dt switching every 7 steps, so
-        # both the reused and the rebuilt factors and propagators are used
+        # both the carried and the rebuilt factors and propagators are used
         cfg = replace(_focusing_3d_config(), grid=GridSpec.tensor(3, 12.0, 16))
         u = gaussian_field(cfg.grid, 1.0, 2.0)  # reads 2.4e-13 with cos + i sin
         m0 = mass(u)
@@ -524,40 +524,18 @@ def _reference_run(cfg, u0, dts):
     return v
 
 
-class TestDeferredHalfPhase:
+class TestCarriedHalfPhase:
     def test_first_step_bitwise_equal_to_direct_call(self):
         cfg = _focusing_3d_config()
         u = gaussian_field(cfg.grid, 1.0, 1.0)
         state = start_state(u, cfg)
         state.factor, state.dt = np.ones(cfg.grid.shape, dtype=complex), 5e-4  # another dt's
-        stepped, state = strang_step(u, cfg, 1e-3, state)
-        assert state.owed == 1e-3
-        settle(stepped, cfg, state)
-        assert np.array_equal(stepped.values, strang_step(u, cfg, 1e-3)[0].values)
-        assert (state.owed, state.dt) == (0.0, 1e-3)
-        # first same as last: the kept factor is the next leading factor
-        fresh = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(stepped, cfg))
+        carried, state = strang_step(u, cfg, 1e-3, state)
+        assert np.array_equal(carried.values, strang_step(u, cfg, 1e-3)[0].values)
+        assert state.dt == 1e-3
+        # first same as last: the carried factor is the next leading factor
+        fresh = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(carried, cfg))
         assert np.max(np.abs(state.factor - fresh)) <= 1e-14
-
-    def test_stateful_steps_then_settle_equal_standalone_steps(self):
-        # dt changes, repeats and a shortened last step, settled midway once
-        cfg = _focusing_3d_config()
-        dts = [1e-3] * 4 + [7e-4] * 3 + [1e-3, 7e-4, 1e-3] + [1e-3] * 3 + [3e-4]
-        u = gaussian_field(cfg.grid, 1.0, 1.0)
-        alone = u
-        state = start_state(u, cfg)
-        for k, dt in enumerate(dts):
-            u, state = strang_step(u, cfg, dt, state)
-            if k == 5:
-                settle(u, cfg, state)
-            alone = strang_step(alone, cfg, dt)[0]
-        assert state.owed == 3e-4
-        settle(u, cfg, state)
-        assert state.owed == 0.0
-        assert la.norm(u.values - alone.values) / la.norm(alone.values) <= 1e-13
-        assert u.time_tag == alone.time_tag
-        settle(u, cfg, state)  # a settled field owes nothing
-        assert la.norm(u.values - alone.values) / la.norm(alone.values) <= 1e-13
 
     def test_run_matches_reference_3d_shortened_final_step(self, monkeypatch):
         cfg = replace(_focusing_3d_config(), t_end=0.0205)
@@ -600,71 +578,59 @@ class TestDeferredHalfPhase:
         assert outcome.steps == 100 and set(dts) == {dt}
         assert (len(densities), len(factors)) == (101, factors_per_run)
 
-    @pytest.mark.parametrize("record_every", [1, 3, 1000])
-    @pytest.mark.parametrize("blowup_ratio", [1e3, 1.01], ids=["skipped", "checked"])
-    @pytest.mark.parametrize(
-        "schedule", ["constant", "alternating", "short_final"]
-    )
-    def test_no_more_phases_than_the_carried_factor(
-        self, schedule, blowup_ratio, record_every, monkeypatch
-    ):
-        # each step builds at most one nonlinear phase and each settle one
-        # more; the carried trailing factor built one per step and one more
-        # per dt change, counted from the first step
+    def test_carried_factor_adds_no_peak_memory(self, monkeypatch):
+        cfg = replace(_focusing_3d_config(), t_end=0.0205, record_every=5)
+        u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+        run(cfg, u0)  # fill the per-grid caches outside the measurement
+
+        def peak():
+            tracemalloc.start()
+            try:
+                run(cfg, u0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_carry = peak()
+        original = dynamics.strang_step
+
+        def dropping_factor(u, cfg, dt, state):
+            out, state = original(u, cfg, dt, state)
+            state.factor = None  # every step rebuilds its leading factor
+            return out, state
+
+        monkeypatch.setattr(dynamics, "strang_step", dropping_factor)
+        without = peak()
+        assert with_carry <= without + 4096  # bytes: bookkeeping, not a buffer
+
+
+def test_bubble_run_peak_memory_above_set_up():
+    # 64^3 tensor3d_bubble data: the run's peak is a step's input and output
+    # fields, the density, one real angle and the new trailing half-phase
+    # (16 MiB), with no full-size propagator (20.1 MiB with it)
+    for module in (grids, dynamics, ground_state):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
         cfg = replace(
             _focusing_3d_config(),
-            t_end=0.0205 if schedule == "short_final" else 0.02,
-            blowup_ratio=blowup_ratio,
-            record_every=record_every,
+            grid=GridSpec.tensor(3, 16.0, 64),
+            t_end=0.02,
+            record_every=10,
         )
-        given = []
-
-        def fixed_dt(state, cfg):
-            given.append(None)
-            return 7e-4 if schedule == "alternating" and len(given) // 3 % 2 else 1e-3
-
-        monkeypatch.setattr(dynamics, "adapt_dt", fixed_dt)
-        dynamics._kinetic_propagator.cache_clear()
-        phases = _spy(monkeypatch, "_unit_phase")
-        settles = _spy(monkeypatch, "settle")
-        steps = _spy(monkeypatch, "strang_step")
-        outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
-        assert outcome.termination == "completed"
-        dts = [args[2] for args in steps]
-        if blowup_ratio < 2:  # the exact check, and so a settle, on every step
-            assert len(settles) == len(dts) + 1
-        built = len(phases) - dynamics._kinetic_propagator.cache_info().misses
-        carried = len(dts) + 1 + sum(a != b for a, b in zip(dts, dts[1:]))
-        assert built <= len(dts) + len(settles)
-        assert built <= carried
-
-    def test_bubble_run_peak_memory_above_set_up(self):
-        # 64^3 tensor3d_bubble data: the run's peak is one copy of the field,
-        # its work array, the density, the kept half-phase and a record's
-        # scratch, with no full-size propagator
-        for module in (grids, dynamics, ground_state):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            cfg = replace(
-                _focusing_3d_config(),
-                grid=GridSpec.tensor(3, 16.0, 64),
-                t_end=0.02,
-                record_every=10,
-            )
-            profile = ground_state.GroundStateProfile(n=3, b=Fraction(1, 2), epsilon=1.0)
-            u0 = ground_state.sample_on_grid(profile, cfg.grid, scale=0.5)
-            set_up = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            outcome = run(cfg, u0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert outcome.termination == "completed" and outcome.steps == 20
-        assert peak - set_up <= 16 * 2**20
+        profile = ground_state.GroundStateProfile(n=3, b=Fraction(1, 2), epsilon=1.0)
+        u0 = ground_state.sample_on_grid(profile, cfg.grid, scale=0.5)
+        set_up = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        outcome = run(cfg, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.termination == "completed" and outcome.steps == 20
+    assert peak - set_up <= 17 * 2**20
 
 
 def test_tensor_run_retains_only_weight_and_propagator():
@@ -731,17 +697,10 @@ def test_kinetic_propagator_equals_the_dense_formula(grid):
 
 
 @pytest.mark.parametrize(
-    "grid, block",
-    [
-        (GridSpec.tensor(3, 16.0, 32), 16384),  # 16 planes at a time
-        (GridSpec.tensor(3, 16.0, 32), 3072),  # 3 planes, a short last block
-        (GridSpec.tensor(3, 16.0, 32), 512),  # less than a plane: one at a time
-        (GridSpec.tensor(2, 10.0, 128), 16384),
-        (GridSpec.tensor(1, 8.0, 16), 16384),
-    ],
+    "grid",
+    [GridSpec.tensor(3, 16.0, 32), GridSpec.tensor(2, 10.0, 128), GridSpec.tensor(1, 8.0, 16)],
 )
-def test_free_flight_multiplies_in_the_exact_propagator(grid, block, monkeypatch):
-    monkeypatch.setattr(dynamics, "_FLIGHT_BLOCK", block)
+def test_free_flight_multiplies_in_the_exact_propagator(grid):
     rng = np.random.default_rng(3)
     vhat = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     expected = vhat * _exact_propagator(grid, 1e-3)[0]
@@ -828,22 +787,15 @@ def _every_step_check_run(cfg, u0):
         u.time_tag = t
         steps += 1
         dt_prev = dt
+        h1 = hs_norm(u, 1)
         recorded = steps % cfg.record_every == 0
         if recorded:
-            settle(u, cfg, state)
-            h1 = hs_norm(u, 1)
             records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
-        else:  # a settled copy: the skipped check leaves the field unsettled
-            settled = Field(u.grid, u.values.copy(), u.time_tag)
-            settle(settled, cfg, replace(state))
-            h1 = hs_norm(settled, 1)
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
             termination = "blowup_detected"
             if not recorded:
-                settle(u, cfg, state)
                 records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
-    settle(u, cfg, state)
     if termination == "completed" and records[-1].t < t:
         records.append(make_record(u, cfg, dt=dt_prev, density=state.density))
     return dynamics.RunOutcome(termination, t, records, u, steps)
