@@ -368,10 +368,7 @@ def cmd_check(args) -> int:
             pairs.append(Fraction(2 * n, n - 2))
         print("admissible pairs (p, gamma(p)):")
         for p in pairs:
-            print(
-                f"  p = {fmt(p):>8}  gamma = {fmt(exponents.gamma_of(p, n)):>8}  "
-                f"admissible = {exponents.is_admissible(p, n)}"
-            )
+            print(_pair_line(p, n))
     except exponents.HypothesisViolation as exc:
         print(f"working exponent unavailable: {exc}")
 
@@ -383,8 +380,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdicts[args.theorem].holds else EXIT_HYPOTHESIS
 
 
+def _pair_line(p, n: int) -> str:
+    """One row of an admissible-pair table; gamma is none below p = 2."""
+    gamma = exponents.gamma_of(p, n) if (p is INF or p >= 2) else None
+    return f"  p = {fmt(p):>8}  gamma = {fmt(gamma):>8}  admissible = {exponents.is_admissible(p, n)}"
+
+
 def cmd_pairs(args) -> int:
     try:
+        if args.n < 1:
+            raise ConfigError("dimension n must be a positive integer")
         ps = []
         for text in args.p or ["2", "2n/(n-2)"]:
             if text in ("inf", "infinity"):
@@ -399,9 +404,7 @@ def cmd_pairs(args) -> int:
         return EXIT_USAGE
     print(f"n = {args.n}")
     for p in ps:
-        admissible = exponents.is_admissible(p, args.n)
-        gamma = exponents.gamma_of(p, args.n) if (p is INF or p >= 2) else None
-        print(f"  p = {fmt(p):>8}  gamma = {fmt(gamma):>8}  admissible = {admissible}")
+        print(_pair_line(p, args.n))
     return EXIT_OK
 
 

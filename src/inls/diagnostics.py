@@ -1,5 +1,5 @@
-"""Run observables: energy, virial quantities, localized cutoffs, the
-threshold function, and the blow-up classifier.
+"""Run observables: energy, virial quantities, localized cutoffs and the
+blow-up classifier.
 
 ``make_record`` is the one place where a field's observables are combined,
 and ``grids.moments`` the one pass over the field behind it: |u|^2 is formed
@@ -90,16 +90,6 @@ def localized_virial(u: Field, R: float) -> float:
     """Integral of phi_R(x) |u|^2."""
     table = radius_sq_values(u.grid, lambda rsq: phi_R_weight(np.sqrt(rsq), R))
     return weighted_quadratic(u, table)
-
-
-def g_threshold(y: float, gs: GroundStateQuantities) -> float:
-    """Threshold function g(y) = y^2/2 - (C^(sigma1+2)/(sigma1+2)) y^(sigma1+2)
-    built from the sharp embedding constant; its maximizer is the bubble's
-    H1 seminorm and the maximum equals the bubble's energy."""
-    if y < 0:
-        raise ValueError("argument must be >= 0")
-    sig1 = gs.profile.sigma1
-    return 0.5 * y**2 - gs.c_hs ** (sig1 + 2.0) / (sig1 + 2.0) * y ** (sig1 + 2.0)
 
 
 def make_record(

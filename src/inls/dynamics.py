@@ -52,7 +52,6 @@ from .grids import (
     geometry,
     hs_norm,
     mass,
-    radial_geometry,
     thread_count,
     weight_values,
 )
@@ -284,7 +283,7 @@ def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepStat
     if state is None:
         state = start_state(u, cfg)
     grid = u.grid
-    ab = radial_geometry(grid).bands.copy()
+    ab = geometry(grid).bands.copy()
     centre = ab[1]
     if cfg.lam != 0.0:
         density = state.density

@@ -9,7 +9,6 @@ checked exactly.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -154,9 +153,6 @@ class Verdict:
     holds: bool
     checks: tuple
 
-    def failing(self):
-        return [c for c in self.checks if not c.passed]
-
 
 @lru_cache(maxsize=64, typed=True)
 def critical_power(n: int, s: Fraction, b: RationalLike) -> ExtendedRational:
@@ -220,49 +216,6 @@ def working_exponent(params: CriticalityParams):
     eps = _epsilon_choice(n, s, b)
     r = (sig * n + n) / (sig * s + n - b - eps)
     return r, eps
-
-
-def _inv_gamma(p: ExtendedRational, n: int) -> Fraction:
-    # 1/gamma(p) = n/4 - n/(2p), with 1/gamma = 0 at p = 2 and n/4 at p = inf
-    if p is INF:
-        return Fraction(n, 4)
-    p = as_rational(p)
-    return Fraction(n, 4) - Fraction(n, 1) / (2 * p)
-
-
-def dual_exponent_identity(params: CriticalityParams, r: RationalLike) -> bool:
-    """Exact check of 1/rbar' = sigma*(1/r - s/n) + 1/r + b/n with
-    rbar = 2n/(n-2); defined for n >= 3."""
-    n = params.n
-    if n < 3:
-        raise ExponentError("dual exponent identity requires n >= 3")
-    r = as_rational(r)
-    s, b = params.s, params.b
-    sig = params.sigma_value
-    lhs = 1 - Fraction(n - 2, 2 * n)  # 1 - 1/rbar
-    rhs = sig * (1 / r - Fraction(s, 1) / n) + 1 / r + Fraction(b, 1) / n
-    return lhs == rhs
-
-
-def holder_time_identity(params: CriticalityParams, r: RationalLike) -> bool:
-    """Exact check of 1/gamma(rbar)' = (sigma+1)/gamma(r) with rbar fixed by
-    the contraction construction (2n/(n-2) for n >= 3, n/eps for n <= 2)."""
-    verdict = hypothesis_report("critical_lwp", params)
-    if not verdict.holds:
-        raise HypothesisViolation(verdict)
-    r = as_rational(r)
-    n = params.n
-    if not is_admissible(r, n):
-        raise ExponentError(f"r = {fmt(r)} is not admissible for n = {n}")
-    if n >= 3:
-        rbar: ExtendedRational = Fraction(2 * n, n - 2)
-    else:
-        eps = _epsilon_choice(n, params.s, params.b)
-        rbar = Fraction(n, 1) / eps
-    sig = params.sigma_value
-    lhs = 1 - _inv_gamma(rbar, n)          # 1/gamma(rbar)'
-    rhs = (sig + 1) * _inv_gamma(r, n)     # (sigma+1)/gamma(r)
-    return lhs == rhs
 
 
 def _b_cap(n: int, s: Fraction) -> Fraction:
@@ -410,22 +363,3 @@ def region_comparison(params: CriticalityParams) -> RegionReport:
         extended_bound=extended_bound,
         classification=classification,
     )
-
-
-def sample_critical_params(rng: random.Random, n_max: int = 6) -> CriticalityParams:
-    """Draw one random parameter tuple satisfying the critical
-    well-posedness hypotheses (rejection sampling, exact arithmetic)."""
-    while True:
-        n = rng.randint(1, n_max)
-        den = rng.randint(1, 8)
-        max_num = (n * den) // 2 if (n * den) % 2 else (n * den) // 2 - 1
-        s = Fraction(rng.randint(0, max(max_num, 0)), den)
-        if not s < Fraction(n, 2):
-            continue
-        cap = _b_cap(n, s)
-        if cap <= 0:
-            continue
-        b = cap * Fraction(rng.randint(1, 63), 64)
-        params = CriticalityParams(n=n, s=s, b=b, sigma=CRITICAL)
-        if hypothesis_report("critical_lwp", params).holds:
-            return params

@@ -324,7 +324,7 @@ class TensorGeometry:
     def norm_bound(self) -> float:
         """The largest |xi|^2, exact by Parseval (the Nyquist mode attains
         it), taken as n times the largest xi^2 of one axis, which equals the
-        largest entry of ``wavenumber_sq_values`` bit for bit."""
+        largest entry of the dense |xi|^2 table bit for bit."""
         return self.grid.n * float(np.max(self.wavenumber_axis**2))
 
 
@@ -432,23 +432,10 @@ def geometry(grid: GridSpec):
     return RadialGeometry(grid.n, grid.r_max, h, _frozen((np.arange(grid.points) + 0.5) * h))
 
 
-def radial_geometry(grid: GridSpec) -> RadialGeometry:
-    """``geometry(grid)`` of a radial grid; refuses a tensor grid."""
-    if grid.kind != "radial":
-        raise ValueError("radial geometry is defined on radial grids only")
-    return geometry(grid)
-
-
 def radius_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
     """f(|x|^2) at every node (|x|^2 itself when ``f`` is None), built on
     each call by ``_radial_table``; the caller owns the array."""
     return _radial_table(geometry(grid).mesh, f, dtype)
-
-
-def wavenumber_sq_values(grid: GridSpec) -> np.ndarray:
-    """|xi|^2 at every wavenumber of a tensor grid, built on each call by
-    ``_radial_table``; the caller owns the array."""
-    return _radial_table([geometry(grid).wavenumber_axis] * grid.n)
 
 
 def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:

@@ -20,17 +20,14 @@ import numpy.linalg as la
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from inls.diagnostics import ScaledGroundState, classify_blowup, g_threshold, second_difference
+from inls.diagnostics import ScaledGroundState, classify_blowup, second_difference
 from inls.dynamics import SimConfig, radial_cn_step, run, strang_step
 from inls.exponents import (
     CRITICAL,
     CriticalityParams,
     critical_power,
-    dual_exponent_identity,
     gamma_of,
-    holder_time_identity,
     is_admissible,
-    sample_critical_params,
     working_exponent,
 )
 from inls.grids import (
@@ -46,6 +43,12 @@ from inls.ground_state import (
     compute_quantities,
     sample_on_grid,
     scaled_energy_ratio,
+)
+from paper_checks import (
+    dual_exponent_identity,
+    g_threshold,
+    holder_time_identity,
+    sample_critical_params,
 )
 
 F = Fraction

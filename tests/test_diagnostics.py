@@ -16,7 +16,6 @@ from inls.diagnostics import (
     classify_blowup,
     cylindrical_phi_R,
     energy,
-    g_threshold,
     localized_virial,
     make_record,
     phi_R_weight,
@@ -33,11 +32,11 @@ from inls.grids import (
     geometry,
     hs_norm,
     mass,
-    radial_geometry,
     radius_sq_values,
     weight_values,
 )
 from inls.ground_state import GroundStateProfile, compute_quantities
+from paper_checks import g_threshold
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +306,7 @@ def _old_record_fields(u, cfg, h1sq):
     def integrate(density):
         if grid.kind == "tensor":
             return float(np.sum(density) * grid.cell_measure)
-        return float(np.sum(density * radial_geometry(grid).weights))
+        return float(np.sum(density * geometry(grid).weights))
 
     v = u.values
     density = np.abs(v) ** 2
@@ -318,12 +317,12 @@ def _old_record_fields(u, cfg, h1sq):
             shell |= np.abs(c) >= 0.45 * grid.extent
         outer = float(np.sum(density[shell]) * grid.cell_measure)
     else:
-        shell = radial_geometry(grid).radii >= 0.9 * grid.r_max
-        outer = float(np.sum((density * radial_geometry(grid).weights)[shell]))
+        shell = geometry(grid).radii >= 0.9 * grid.r_max
+        outer = float(np.sum((density * geometry(grid).weights)[shell]))
     total = integrate(density)
     n, sig, b = grid.n, cfg.sigma, float(cfg.params.b)
     return {
-        "mass": float(np.dot(radial_geometry(grid).weights, v.real**2 + v.imag**2))
+        "mass": float(np.dot(geometry(grid).weights, v.real**2 + v.imag**2))
         if grid.kind == "radial"
         else total,
         "energy": 0.5 * h1sq + cfg.lam / (sig + 2.0) * pot,

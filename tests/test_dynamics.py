@@ -30,10 +30,9 @@ from inls.grids import (
     geometry,
     hs_norm,
     mass,
-    radial_geometry,
-    wavenumber_sq_values,
     weight_values,
 )
+from paper_checks import wavenumber_sq_values
 
 
 class TestStrangStep:
@@ -63,6 +62,31 @@ class TestStrangStep:
         u0 = gaussian_field(free_2d_config.grid, 1.0, 1.0)
         back = strang_step(strang_step(u0, free_2d_config, 0.02)[0], free_2d_config, -0.02)[0]
         assert la.norm(back.values - u0.values) / la.norm(u0.values) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    @pytest.mark.parametrize("n, points, extent", [(2, 64, 16.0), (3, 32, 12.0)])
+    def test_nonlinear_time_reversal(self, n, points, extent, lam):
+        # the half-phases keep |u|, so S(-dt) undoes S(dt) exactly; a step
+        # that reused the carried factor built for +dt at -dt would miss u0
+        # by ~5e-3
+        grid = GridSpec.tensor(n, extent, points)
+        params = CriticalityParams(
+            n=n, s=Fraction(n - 1, 2), b=Fraction(1, 2), sigma=Fraction(2) if n == 2 else CRITICAL
+        )
+        cfg = SimConfig(
+            params=params,
+            grid=grid,
+            weight=PotentialWeight(b=0.5, delta=grid.spacing),
+            lam=lam,
+            dt_init=1e-2,
+            t_end=1.0,
+            dt_min=1e-12,
+        )
+        u0 = gaussian_field(grid, 1.0, 1.0)
+        u, state = u0, None
+        for dt in [1e-2] * 20 + [-1e-2] * 20:
+            u, state = strang_step(u, cfg, dt, state)
+        assert np.max(np.abs(u.values - u0.values)) <= 1e-12 * np.max(np.abs(u0.values))
 
     def test_rejects_radial_grid(self, focusing_radial_config):
         u = gaussian_field(focusing_radial_config.grid, 1.0, 1.0)
@@ -333,7 +357,7 @@ def _reference_radial_step(v, cfg, dt, phi):
     if phi is None:
         phi = density
     phi_next = 2.0 * density - phi
-    upper, diag, lower = radial_geometry(grid).bands.real  # solve_banded rows
+    upper, diag, lower = geometry(grid).bands.real  # solve_banded rows
     m_diag = diag - cfg.lam * phi_next
     half = 0.5j * dt
     rhs = v + half * (m_diag * v)

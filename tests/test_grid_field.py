@@ -28,13 +28,12 @@ from inls.grids import (
     load_field,
     mass,
     moments,
-    radial_geometry,
     radius_sq_values,
     weight_values,
     weighted_quadratic,
-    wavenumber_sq_values,
 )
 from inls.ground_state import GroundStateProfile, sample_on_grid, sphere_area, w_eval
+from paper_checks import wavenumber_sq_values
 
 
 def normalized_gaussian(grid):
@@ -69,7 +68,7 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.radial(2, 10.0, 64)
         grid = GridSpec.radial(3, 8.0, 64)
-        r = radial_geometry(grid).radii
+        r = geometry(grid).radii
         assert r[0] == pytest.approx(grid.spacing / 2)  # no origin node
         assert r[-1] == pytest.approx(8.0 - grid.spacing / 2)
 
@@ -252,7 +251,7 @@ def _hs_norm_formula(u, s):
     diff = np.empty_like(v)
     diff[:-1] = v[1:] - v[:-1]
     diff[-1] = -v[-1]
-    f = radial_geometry(grid).conductances
+    f = geometry(grid).conductances
     return math.sqrt(float(sphere_area(grid.n) * np.sum(f * np.abs(diff) ** 2) / grid.spacing))
 
 
@@ -309,7 +308,7 @@ class TestMassSumOfSquares:
         if grid.kind == "tensor":
             expected = float(np.sum(density) * grid.cell_measure)
         else:
-            expected = float(np.sum(density * radial_geometry(grid).weights))
+            expected = float(np.sum(density * geometry(grid).weights))
         assert mass(u) == pytest.approx(expected, rel=1e-14)
 
     def test_non_contiguous_values(self):
@@ -351,7 +350,7 @@ class TestLaplacianNormBound:
         if grid.kind == "tensor":
             values = np.fft.ifftn(np.fft.fftn(values) * np.exp(-damping * wavenumber_sq_values(grid)))
         else:
-            values *= np.exp(-damping * radial_geometry(grid).radii)
+            values *= np.exp(-damping * geometry(grid).radii)
         u = Field(grid, values)
         assert hs_norm(u, 1) ** 2 <= geometry(grid).norm_bound * mass(u) * (1 + 1e-12)
 
@@ -369,11 +368,11 @@ class TestLaplacianNormBound:
     def test_radial_bound_within_a_tenth_of_top_eigenvalue(self, n):
         for points in (8, 64, 512):
             grid = GridSpec.radial(n, 10.0, points)
-            bands = radial_geometry(grid).bands.real
+            bands = geometry(grid).bands.real
             lap = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
             # -Lap_h is self-adjoint in the node weights D, so D^1/2 (-Lap_h)
             # D^-1/2 is symmetric with the same eigenvalues
-            root = np.sqrt(radial_geometry(grid).weights)
+            root = np.sqrt(geometry(grid).weights)
             sym = -root[:, None] * lap / root[None, :]
             assert np.allclose(sym, sym.T, rtol=0.0, atol=1e-14 * np.abs(sym).max())
             top = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
@@ -576,8 +575,8 @@ class TestRadialGeometry:
         lower = np.zeros(points)
         lower[1:] = f[:-1] / denom[1:]
         diag = -(f + np.concatenate(([0.0], f[:-1]))) / denom
-        geometry = radial_geometry(grid)
-        assert radial_geometry(grid) is geometry
+        geometry = grids.geometry(grid)
+        assert grids.geometry(grid) is geometry
         assert geometry.spacing == h and geometry.n == n and geometry.r_max == grid.r_max
         assert np.array_equal(geometry.radii, r)
         assert np.array_equal(geometry.weights, weights)
@@ -606,7 +605,7 @@ class TestRadialGeometry:
 
     @pytest.mark.parametrize("grid", _GEOMETRY_GRIDS)
     def test_bands_self_adjoint_in_the_node_weights(self, grid):
-        geometry = radial_geometry(grid)
+        geometry = grids.geometry(grid)
         upper, lower = geometry.bands.real[0, 1:], geometry.bands.real[2, :-1]
         d = geometry.weights
         assert np.allclose(d[:-1] * upper, d[1:] * lower, rtol=1e-14, atol=0.0)
@@ -615,7 +614,7 @@ class TestRadialGeometry:
     def test_h1_seminorm_is_the_dirichlet_form_of_the_bands(self, grid):
         # hs_norm(u, 1)**2 = <u, -L_h u>_D, outer face included: the seminorm
         # and the operator read one boundary
-        geometry = radial_geometry(grid)
+        geometry = grids.geometry(grid)
         upper, diag, lower = geometry.bands.real
         rng = np.random.default_rng(grid.n * grid.points)
         for _ in range(3):
@@ -626,10 +625,6 @@ class TestRadialGeometry:
             form = -np.vdot(v, geometry.weights * lap)
             assert abs(form.imag) <= 1e-12 * form.real
             assert hs_norm(Field(grid, v), 1) ** 2 == pytest.approx(form.real, rel=1e-12)
-
-    def test_refuses_tensor_grid(self):
-        with pytest.raises(ValueError):
-            radial_geometry(GridSpec.tensor(3, 10.0, 16))
 
 
 _CONTRACT_GRIDS = [
@@ -763,7 +758,7 @@ class TestWeightedIntegrals:
         grid = GridSpec.radial(3, 10.0, 512)
         u = gaussian_field(grid, 1.1, 1.0)
         w = PotentialWeight(b=0.0, delta=0.0)
-        plain = float(np.sum(np.abs(u.values) ** 4 * radial_geometry(grid).weights))
+        plain = float(np.sum(np.abs(u.values) ** 4 * geometry(grid).weights))
         assert weighted_potential(u, w, 2.0) == pytest.approx(plain, rel=1e-14)
 
     def test_radial_against_quad_oracle(self):
@@ -829,7 +824,7 @@ def laplacian_apply(u):
     if grid.kind == "tensor":
         out = scipy.fft.ifftn(-wavenumber_sq_values(grid) * scipy.fft.fftn(u.values))
         return Field(grid=grid, values=out, time_tag=u.time_tag)
-    upper, diag, lower = radial_geometry(grid).bands.real  # solve_banded rows
+    upper, diag, lower = geometry(grid).bands.real  # solve_banded rows
     v = u.values
     out = diag * v
     out[:-1] += upper[1:] * v[1:]
@@ -854,14 +849,14 @@ class TestLaplacian:
 
     def test_radial_gaussian_accuracy(self):
         grid = GridSpec.radial(3, 12.0, 4096)
-        r = radial_geometry(grid).radii
+        r = geometry(grid).radii
         lap = laplacian_apply(Field(grid, np.exp(-r ** 2 / 2).astype(complex)))
         exact = (r ** 2 - 3) * np.exp(-r ** 2 / 2)
         assert np.max(np.abs(lap.values - exact)) < 5e-5
 
     def test_radial_quadratic_exact(self):
         grid = GridSpec.radial(4, 10.0, 256)
-        r = radial_geometry(grid).radii
+        r = geometry(grid).radii
         lap = laplacian_apply(Field(grid, (r ** 2).astype(complex)))
         # exact on quadratics away from the Dirichlet wall
         assert np.max(np.abs(lap.values[:-2] - 2 * grid.n)) < 1e-8
@@ -870,10 +865,10 @@ class TestLaplacian:
         errors = []
         for points in (1024, 2048):
             grid = GridSpec.radial(3, 12.0, points)
-            r = radial_geometry(grid).radii
+            r = geometry(grid).radii
             lap = laplacian_apply(Field(grid, np.exp(-r ** 2 / 2).astype(complex)))
             exact = (r ** 2 - 3) * np.exp(-r ** 2 / 2)
-            w = radial_geometry(grid).weights
+            w = geometry(grid).weights
             errors.append(math.sqrt(float(np.sum(np.abs(lap.values - exact) ** 2 * w))))
         order = math.log2(errors[0] / errors[1])
         assert 1.8 <= order <= 2.2
@@ -886,7 +881,7 @@ class TestBoundaryMonitor:
 
     def test_shell_data(self):
         grid = GridSpec.radial(3, 10.0, 256)
-        r = radial_geometry(grid).radii
+        r = geometry(grid).radii
         ring = Field(grid, np.exp(-((r - 9.5) ** 2) * 20).astype(complex))
         assert boundary_mass_fraction(ring) > 0.9
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from inls.grids import GridSpec, radial_geometry
+from inls.grids import GridSpec, geometry
 from inls.ground_state import (
     GroundStateProfile,
     compute_quantities,
@@ -77,7 +77,7 @@ class TestSampleOnGrid:
         # the nodes are sampled at sqrt(r * r), which is r exactly
         grid = GridSpec.radial(n, r_max, points)
         profile = GroundStateProfile(n, 0.5, 1.0)
-        r = radial_geometry(grid).radii
+        r = geometry(grid).radii
         expected = (0.4995 * w_eval(profile, r)).astype(complex)
         values = sample_on_grid(profile, grid, 0.4995).values
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
@@ -215,7 +215,7 @@ class TestScaledEnergy:
 
 class TestThresholdGeometry:
     def test_threshold_peaks_at_bubble_norm(self):
-        from inls.diagnostics import g_threshold
+        from paper_checks import g_threshold
 
         for n, b in [(3, 0.5), (4, 1.0), (5, 1.5)]:
             q = compute_quantities(GroundStateProfile(n, b, 1.0))

@@ -203,6 +203,14 @@ class TestPairsCommand:
         assert code == EXIT_OK
         assert "inf" in out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_dimension_below_one_refused(self, n, capsys):
+        code = cli.main(["pairs", "--n", n, "--p", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("parameter error:")
+
 
 class TestGroundStateCommand:
     def test_report(self, capsys, tmp_path):
