@@ -10,6 +10,11 @@ weighted potential from, and the next step starts from.
 Tensor grids: Strang splitting with an exact spectral free propagator and
 pointwise nonlinear phases (both substeps preserve the discrete mass to
 roundoff); the state carries the trailing half-phase into the next step.
+A step writes into its input only when the state owns it: ``state.owned``
+is the values array of the field the state's last step returned, so a run
+keeps one field buffer, whose leading half-phase, FFTs and trailing
+half-phase all work in place, and the consumed leading factor's buffer
+takes the new trailing factor.  Any other input is left unmodified.
 The free propagator factors over the axes: on a 3-d grid it is kept per
 axis and as the factor of one axis-0 plane, so a dt change rebuilds
 O(N^2) entries, not N^3.
@@ -110,9 +115,10 @@ class RunOutcome:
     steps: int = 0
 
 
-def _unit_phase(half: np.ndarray) -> np.ndarray:
+def _unit_phase(half: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """exp(i theta) from the real array ``half`` = theta/2, which it consumes
-    as scratch: its values are overwritten.
+    as scratch: its values are overwritten.  The result is written into
+    ``out``, a complex array of ``half``'s shape, when given.
 
     Built from the one tangent t = tan(theta/2) by the half-angle identities
     sin theta = t * 2/(1 + t^2) and cos theta = 1 - t sin theta, written
@@ -124,7 +130,8 @@ def _unit_phase(half: np.ndarray) -> np.ndarray:
     and of modulus one to within 2e-15; a NaN or infinite angle gives a NaN
     factor.
     """
-    out = np.empty(half.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(half.shape, dtype=np.complex128)
     cos, sin = out.real, out.imag
     t = np.tan(half, out=half)
     np.multiply(t, t, out=cos)
@@ -187,13 +194,18 @@ def nonlinear_density(
 
 
 def _half_phase(
-    density: np.ndarray, cfg: SimConfig, dt: float, angle: Optional[np.ndarray] = None
+    density: np.ndarray,
+    cfg: SimConfig,
+    dt: float,
+    angle: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step.
-    ``angle``, a real array of the grid's shape, receives half the phase
-    angle and is then consumed by ``_unit_phase``; without it one is
-    allocated.  ``density`` is left unchanged."""
-    return _unit_phase(np.multiply(density, -0.25 * dt * cfg.lam, out=angle))
+    """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step,
+    written into the complex array ``out`` when given.  ``angle``, a real
+    array of the grid's shape, receives half the phase angle and is then
+    consumed by ``_unit_phase``; without it one is allocated.  ``density``
+    is left unchanged."""
+    return _unit_phase(np.multiply(density, -0.25 * dt * cfg.lam, out=angle), out)
 
 
 @dataclass
@@ -207,14 +219,17 @@ class StepState:
     trailing half-phase and the dt it was built for.  The half-phase has
     modulus one and leaves |u| unchanged, so the density taken before it is
     that of the step's output, and while dt stays the same the next step's
-    leading factor equals it (first same as last).  A step consumes the
-    state it is given and returns it refilled for its output.
+    leading factor equals it (first same as last).  ``owned`` is the values
+    array of the field the tensor stepper returned last with this state,
+    the one input its next step may overwrite.  A step consumes the state
+    it is given and returns it refilled for its output.
     """
 
     density: Optional[np.ndarray]
     phi: Optional[np.ndarray] = None
     factor: Optional[np.ndarray] = None
     dt: Optional[float] = None
+    owned: Optional[np.ndarray] = None
 
 
 def start_state(u: Field, cfg: SimConfig) -> StepState:
@@ -228,9 +243,16 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
 
     ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None); the step
     reuses its factor when it was built for this dt, else frees it and
-    rebuilds it from the density.  Returns ``(field, state)``: the factor's
-    buffer becomes the FFT work array and the density buffer is refilled in
-    place for the new field.
+    rebuilds it from the density.  Returns ``(field, state)`` with the
+    density buffer refilled in place for the new field.
+
+    Ownership: when ``u.values is state.owned``, ``u`` is the field this
+    state's last step returned, and the step overwrites it: the half-phase
+    and the FFTs work in place in ``u.values``, whose buffer the output
+    takes, and the new trailing factor is written into the consumed leading
+    factor's buffer.  Any other ``u`` is left unmodified, the leading
+    factor's buffer becoming the FFT work array, as without a state.
+    Either way the output's values become ``state.owned``.
     """
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
@@ -238,26 +260,32 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
         state = start_state(u, cfg)
     grid = u.grid
     v = u.values
+    in_place = v is state.owned
+    spare = None  # a consumed leading factor, the buffer of the trailing one
     if cfg.lam != 0.0:
         factor = state.factor if state.dt == dt else None
         state.factor = None  # a stale factor is freed before the rebuild
+        angle = np.empty(grid.shape)  # the real scratch of both half-phases
         if factor is None:
-            factor = _half_phase(state.density, cfg, dt)
-        factor *= u.values
-        v = factor
-        del factor  # not needed past here; the FFTs below run in place
-    vhat = scipy.fft.fftn(v, workers=thread_count(), overwrite_x=v is not u.values)
+            factor = _half_phase(state.density, cfg, dt, angle)
+        # factor * v in this operand order either way, so both round alike
+        if in_place:
+            v, spare = np.multiply(factor, v, out=v), factor
+        else:
+            v = np.multiply(factor, v, out=factor)
+        del factor
+    vhat = scipy.fft.fftn(v, workers=thread_count(), overwrite_x=in_place or v is not u.values)
     _free_flight(vhat, grid, dt)
     out = Field(
         grid=grid,
         values=scipy.fft.ifftn(vhat, workers=thread_count(), overwrite_x=True),
         time_tag=u.time_tag + dt,
     )
-    if cfg.lam != 0.0:
-        angle = np.empty(grid.shape)  # first |u| for |u|^sigma, then the angle
+    if cfg.lam != 0.0:  # angle holds |u| for |u|^sigma, then half the angle
         density = nonlinear_density(out, cfg, state.density, scratch=angle)
-        state.factor, state.dt = _half_phase(density, cfg, dt, angle), dt
+        state.factor, state.dt = _half_phase(density, cfg, dt, angle, spare), dt
         out.values *= state.factor
+    state.owned = out.values
     return out, state
 
 
@@ -335,12 +363,16 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     step cannot detect blow-up: rho_h * M < (blowup_ratio * h1_0)**2 / 2,
     the factor 1/2 covering rounding.  ``sqrt(rho_h * M) / h1_0`` is the
     largest H1 growth the grid can show at mass M.
+
+    ``u0`` is left unmodified and ``final_field`` never shares its values:
+    the first step reads ``u0.values`` and writes a new array, and a run
+    that completes no step returns a copy.
     """
     from .diagnostics import make_record
 
     if u0.grid != cfg.grid:
         raise ValueError("initial field lives on a different grid")
-    u = Field(grid=u0.grid, values=u0.values.copy(), time_tag=0.0)
+    u = Field(grid=u0.grid, values=u0.values, time_tag=0.0)
     h1_0 = hs_norm(u, 1)
     rho = geometry(u.grid).norm_bound
     undetectable = 0.5 * (cfg.blowup_ratio * h1_0) ** 2
@@ -408,6 +440,8 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     # adapted step size of the last one
     if termination == "completed" and records[-1].t < t:
         records.append(make_record(u, cfg, dt=dt, density=state.density))
+    if u.values is u0.values:  # no step completed
+        u = Field(grid=u.grid, values=u0.values.copy(), time_tag=t)
     return RunOutcome(
         termination=termination,
         t_final=t,

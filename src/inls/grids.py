@@ -261,16 +261,6 @@ class TensorGeometry:
         axes = (self.axis, self.wavenumber_axis)
         return tuple((a**2, _radial_table([a] * (self.grid.n - 1)).ravel()) for a in axes)
 
-    def _split_sum(self, spectral: bool, a: np.ndarray) -> float:
-        """Sum of |x|^2 (|xi|^2 when ``spectral``) times ``a``, k values per
-        node in row order (k = 2 for (re^2, im^2) pairs), as its axis-0 and
-        column marginals against first and rest: no full-size table."""
-        first, rest = self._splits[spectral]
-        a = a.reshape(self.grid.points, -1)
-        rows = a.sum(axis=1)
-        cols = a.sum(axis=0).reshape(rest.size, -1)
-        return float(np.sum(first * rows) + np.sum(rest[:, None] * cols))
-
     def mass(self, values: np.ndarray, a2=None) -> float:
         """Squared L2 norm of ``values``: their (re, im) pairs contracted with
         themselves, with no full-size temporary; ``a2`` is not read."""
@@ -282,7 +272,13 @@ class TensorGeometry:
         return float(np.einsum("i,i->", table.ravel(), a2.ravel()) * self.grid.cell_measure)
 
     def variance(self, a2: np.ndarray) -> float:
-        return self._split_sum(False, a2) * self.grid.cell_measure
+        """Sum of |x|^2 a2 as its axis-0 and column marginals against first
+        and rest: no full-size table."""
+        first, rest = self._splits[False]
+        a2 = a2.reshape(self.grid.points, -1)
+        rows, cols = a2.sum(axis=1), a2.sum(axis=0)
+        cols *= rest  # in place: no second cross-section-sized temporary
+        return float(np.sum(first * rows) + np.sum(cols)) * self.grid.cell_measure
 
     def shell_mass(self, a2: np.ndarray) -> float:
         """Mass where |x_i| >= 0.45 L on some axis, summed as disjoint slabs
@@ -298,16 +294,26 @@ class TensorGeometry:
         return float(total * grid.cell_measure)
 
     def hs_sq(self, values: np.ndarray, s: float) -> float:
-        """Sum of |xi|^(2s) |uhat|^2, from a copy of ``values`` transformed
-        and squared in place as (re, im) pairs.  s = 1 sums |xi|^2 = xi_0^2 +
-        |xi'|^2 by axis marginals; other s build |xi|^(2s) for the call."""
-        uhat = scipy.fft.fftn(values.copy(), workers=thread_count(), overwrite_x=True)
-        pairs = uhat.view(np.float64)
-        pairs *= pairs
+        """Sum of |xi|^(2s) |uhat|^2.  Other s than 1 transform a copy of
+        ``values``, square it in place as (re, im) pairs and contract it
+        with |xi|^(2s), built for the call.
+
+        s = 1 sums |grad u|^2 over the axes, |xi|^2 = xi_0^2 + |xi'|^2, with
+        no full-size spectrum: by Parseval over the axes a block leaves
+        untransformed, it is N^(n-1) S_0 + N S', where S_0 sums xi_0^2 |.|^2
+        of 1-d FFTs along axis 0 of blocks of columns and S' sums
+        |xi'|^2 |.|^2 of FFTs over the other axes of blocks of axis-0
+        planes.  Each block's spectrum is at most 1/8 of the field
+        (``_h1_block``) and is squared and summed into axis marginals in
+        place."""
         if s == 1:
             with np.errstate(invalid="ignore"):  # 0 * inf, handled below
-                total = self._split_sum(True, pairs)
+                total = self._h1_sum(values)
         else:
+            uhat = scipy.fft.fftn(values.copy(), workers=thread_count(), overwrite_x=True)
+            pairs = uhat.view(np.float64)
+            pairs *= pairs
+
             def power(ksq):
                 ksq **= s
                 return ksq
@@ -319,6 +325,29 @@ class TensorGeometry:
         if math.isnan(total) and np.all(np.isfinite(values.view(np.float64))):
             total = math.inf
         return total * self.grid.cell_measure / values.size
+
+    def _h1_sum(self, values: np.ndarray) -> float:
+        """N^(n-1) S_0 + N S' of ``hs_sq``: per block, one FFT and the sums
+        of its squared (re, im) pairs along the axes that are not weighted."""
+        n, points = self.grid.n, self.grid.points
+        first, rest = self._splits[True]
+        workers = thread_count()
+        columns = values.reshape(points, -1)
+        rows = np.zeros(points)  # sum over the columns of |F_0 u|^2, by xi_0
+        for block in _h1_block(columns.shape[1]):
+            pairs = scipy.fft.fftn(columns[:, block], axes=(0,), workers=workers).view(np.float64)
+            pairs *= pairs
+            rows += pairs.sum(axis=1)
+        total = points ** (n - 1) * float(np.sum(first * rows))
+        if n > 1:
+            cols = np.zeros(2 * rest.size)  # sum over the planes of |F' u|^2
+            for block in _h1_block(points):
+                spectrum = scipy.fft.fftn(values[block], axes=range(1, n), workers=workers)
+                pairs = spectrum.view(np.float64).reshape(spectrum.shape[0], -1)
+                pairs *= pairs
+                cols += pairs.sum(axis=0)
+            total += points * float(np.sum(rest * cols.reshape(-1, 2).sum(axis=1)))
+        return total
 
     @cached_property
     def norm_bound(self) -> float:
@@ -420,6 +449,15 @@ class RadialGeometry:
         rows[:-1] += coupling
         rows[1:] += coupling
         return float(rows.max())
+
+
+def _h1_block(size: int):
+    """Slices of ``range(size)`` of size // 8 entries each (one when
+    size < 8): 8 blocks of a tensor grid's axis (N >= 8, a power of two)
+    or of its N^(n-1) columns when n > 1, so a blocked H1 spectrum is at
+    most 1/8 of the field."""
+    step = max(1, size // 8)
+    return [slice(start, start + step) for start in range(0, size, step)]
 
 
 @lru_cache(maxsize=64)

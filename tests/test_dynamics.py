@@ -166,6 +166,20 @@ class TestUnitPhase:
             tracemalloc.stop()
         assert peak <= factor.nbytes + 4096  # bytes: no full-size temporary
 
+    def test_half_phase_into_out_allocates_no_field(self):
+        cfg = _focusing_3d_config()  # 32^3
+        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        angle = np.empty(cfg.grid.shape)
+        buf = np.empty(cfg.grid.shape, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            factor = dynamics._half_phase(density, cfg, 1e-3, angle, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor is buf and peak <= 4096  # bytes: not even its output
+        assert np.array_equal(factor, dynamics._half_phase(density, cfg, 1e-3))
+
     def test_long_run_mass_drift(self):
         # 3,000 focusing steps at 16^3 with dt switching every 7 steps, so
         # both the carried and the rebuilt factors and propagators are used
@@ -629,9 +643,10 @@ class TestCarriedHalfPhase:
 
 
 def test_bubble_run_peak_memory_above_set_up():
-    # 64^3 tensor3d_bubble data: the run's peak is a step's input and output
-    # fields, the density, one real angle and the new trailing half-phase
-    # (16 MiB), with no full-size propagator (20.1 MiB with it)
+    # 64^3 tensor3d_bubble data: the run's peak is the one field buffer that
+    # its steps overwrite, the carried half-phase, the density and one real
+    # angle (12 MiB); with a separate output field per step it was 16.2 MiB,
+    # and 20.1 MiB with a full-size propagator as well
     for module in (grids, dynamics, ground_state):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
@@ -654,7 +669,7 @@ def test_bubble_run_peak_memory_above_set_up():
     finally:
         tracemalloc.stop()
     assert outcome.termination == "completed" and outcome.steps == 20
-    assert peak - set_up <= 17 * 2**20
+    assert peak - set_up <= 13 * 2**20
 
 
 def test_tensor_run_retains_only_weight_and_propagator():
@@ -1023,3 +1038,149 @@ def test_run_takes_mass_only_on_steps_without_a_record(kind, record_every, monke
     assert len(masses) == 20 - 20 // record_every
     # a record step's live mass is its record's, grids.mass bit for bit
     assert outcome.series[-1].mass == mass(outcome.final_field)
+
+
+# -- ownership: a tensor step overwrites only the field its state made -------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _small_tensor_config(n, lam):
+    grid = GridSpec.tensor(n, 12.0, 32 if n == 3 else 64)
+    params = CriticalityParams(
+        n=n, s=Fraction(n - 1, 2), b=Fraction(1, 2), sigma=Fraction(2) if n == 2 else CRITICAL
+    )
+    return SimConfig(
+        params=params,
+        grid=grid,
+        weight=PotentialWeight(b=0.5, delta=grid.spacing),
+        lam=lam,
+        dt_init=1e-3,
+        t_end=0.01,
+        dt_min=1e-12,
+    )
+
+
+_OWNERSHIP_CASES = [
+    pytest.param(n, lam, id=f"tensor{n}d-lam{lam:+g}") for n in (2, 3) for lam in (-1.0, 0.0, 1.0)
+]
+
+
+class TestStepOwnership:
+    """The tensor twin of ``test_radial_step_leaves_input_unmodified``: a
+    Strang step writes only into the values of the field that its state's
+    last step returned."""
+
+    @pytest.mark.parametrize("n, lam", _OWNERSHIP_CASES)
+    def test_input_it_did_not_make_is_left_unmodified(self, n, lam):
+        cfg = _small_tensor_config(n, lam)
+        u = gaussian_field(cfg.grid, 1.5, 1.0)
+        before = u.values.copy()
+        out, _ = strang_step(u, cfg, 1e-3)
+        assert _same_bits(u.values, before) and not np.shares_memory(out.values, u.values)
+        # a state that owns another field: the output of a step from w
+        w = gaussian_field(cfg.grid, 1.0, 0.8)
+        made, state = strang_step(w, cfg, 1e-3)
+        assert state.owned is made.values
+        out, _ = strang_step(u, cfg, 1e-3, state)
+        assert _same_bits(u.values, before) and not np.shares_memory(out.values, u.values)
+        # an equal copy of the owned values is not owned
+        _, state = strang_step(w, cfg, 1e-3)
+        twin = Field(cfg.grid, state.owned.copy())
+        before = twin.values.copy()
+        out, _ = strang_step(twin, cfg, 1e-3, state)
+        assert _same_bits(twin.values, before)
+        assert not np.shares_memory(out.values, twin.values)
+
+    @pytest.mark.parametrize("n, lam", _OWNERSHIP_CASES)
+    def test_owned_field_is_stepped_in_place_as_a_copy_would_be(self, n, lam):
+        cfg = _small_tensor_config(n, lam)
+        u0 = gaussian_field(cfg.grid, 1.5, 1.0)
+        owned, state = u0, None
+        copied, copy_state = u0, None
+        for k, dt in enumerate([1e-3] * 3 + [7e-4] * 3):
+            out, state = strang_step(owned, cfg, dt, state)
+            assert np.shares_memory(out.values, owned.values) == (k > 0)
+            owned = out
+            copy = Field(cfg.grid, copied.values.copy(), copied.time_tag)
+            copied, copy_state = strang_step(copy, cfg, dt, copy_state)
+            assert not np.shares_memory(copied.values, copy.values)
+            assert _same_bits(owned.values, copied.values), f"step {k}"
+        assert _same_bits(u0.values, gaussian_field(cfg.grid, 1.5, 1.0).values)
+
+
+def _radial_config(**changes):
+    return _blowup_radial_config(blowup_ratio=1e3, **changes)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "radial"])
+def test_run_leaves_u0_and_returns_a_field_of_its_own(kind):
+    base = _focusing_3d_config() if kind == "tensor" else _radial_config()
+    cfg = replace(base, t_end=20 * base.dt_init, record_every=7)
+    u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+    before = u0.values.copy()
+    outcome = run(cfg, u0)
+    assert outcome.termination == "completed" and outcome.steps == 20
+    assert _same_bits(u0.values, before) and u0.time_tag == 0.0
+    assert not np.shares_memory(outcome.final_field.values, u0.values)
+
+
+@pytest.mark.parametrize("kind, stepper", [("tensor", "strang_step"), ("radial", "radial_cn_step")])
+def test_run_without_a_step_returns_a_copy_of_u0(kind, stepper, monkeypatch):
+    def failing(u, cfg, dt, state):
+        raise FloatingPointError("no step")
+
+    monkeypatch.setattr(dynamics, stepper, failing)
+    base = _focusing_3d_config() if kind == "tensor" else _radial_config()
+    u0 = gaussian_field(base.grid, 1.0, 1.0)
+    outcome = run(base, u0)
+    assert outcome.termination == "non_finite" and outcome.steps == 0
+    assert not np.shares_memory(outcome.final_field.values, u0.values)
+    assert _same_bits(outcome.final_field.values, u0.values)
+
+
+def test_nan_initial_field_run_returns_a_field_of_its_own(focusing_radial_config):
+    grid = focusing_radial_config.grid
+    values = gaussian_field(grid, 0.5, 1.0).values
+    values[grid.points // 3] = np.nan
+    u0 = Field(grid, values)
+    before = u0.values.copy()
+    outcome = run(focusing_radial_config, u0)
+    assert outcome.termination == "non_finite" and outcome.steps == 0
+    assert not np.shares_memory(outcome.final_field.values, u0.values)
+    assert _same_bits(u0.values, before)
+
+
+# -- oracle (ROADMAP item 20): global phase invariance of a whole run --------
+
+_PHASE_RUNS = [
+    pytest.param("tensor", -1.0, id="tensor3d-focusing"),
+    pytest.param("tensor", 1.0, id="tensor3d-defocusing"),
+    pytest.param("radial", -1.0, id="radial-focusing"),
+]
+
+
+@pytest.mark.parametrize("kind, lam", _PHASE_RUNS)
+def test_run_commutes_with_a_global_phase(kind, lam):
+    # the equation and every observable are invariant under u -> e^{i theta} u,
+    # so run(e^{i theta} u0) is e^{i theta} run(u0) record by record
+    if kind == "tensor":
+        cfg = replace(_focusing_3d_config(), lam=lam, t_end=0.02, record_every=4)  # 32^3
+        u0 = gaussian_field(cfg.grid, 1.5, 1.0)
+    else:
+        cfg = replace(_radial_config(), grid=GridSpec.radial(3, 16.0, 512), t_end=0.1, record_every=5)
+        u0 = gaussian_field(cfg.grid, 1.5, 1.0)
+    rotation = np.exp(0.7j)
+    plain = run(cfg, u0)
+    rotated = run(cfg, Field(cfg.grid, u0.values * rotation))
+    assert plain.termination == rotated.termination == "completed"
+    assert plain.steps == rotated.steps > 10
+    assert len(plain.series) == len(rotated.series) > 2
+    for a, b in zip(plain.series, rotated.series):
+        for name in ("mass", "energy", "h1dot_sq", "max_amp"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= 1e-12 * abs(x), (a.t, name, x, y)
+    want = plain.final_field.values * rotation
+    got = rotated.final_field.values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -275,6 +275,53 @@ class TestSobolevNormInPlace:
         assert np.array_equal(u.values, before)
 
 
+def _dense_h1_sq(v, grid):
+    """Sum of |xi|^2 |uhat|^2 against the dense |xi|^2 table."""
+    uhat = scipy.fft.fftn(v)
+    return float(np.sum(wavenumber_sq_values(grid) * np.abs(uhat) ** 2)) * (
+        grid.cell_measure / v.size
+    )
+
+
+class TestBlockedH1:
+    """hs_sq(v, 1) on tensor grids sums blocked FFTs, never a full-size
+    spectrum; the dense |xi|^2 sum is its oracle."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(GridSpec.tensor(n, 12.0, points), id=f"tensor{n}d-N{points}")
+            for n, sizes in ((1, (8, 16, 256)), (2, (8, 16, 64)), (3, (8, 16, 32)))
+            for points in sizes
+        ],
+    )
+    def test_equals_the_dense_spectral_sum(self, grid):
+        rng = np.random.default_rng(grid.n * grid.points)
+        window = gaussian_field(grid, 1.3, 0.2 * grid.extent).values
+        noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        x = geometry(grid).mesh
+        fields = [
+            window * noise,
+            gaussian_field(grid, 1.0, 1.0).values,
+            np.exp(1j * 2 * math.pi * sum((k + 1) * c for k, c in enumerate(x)) / grid.extent)
+            * np.ones(grid.shape),
+        ]
+        for v in fields:
+            dense = _dense_h1_sq(v, grid)
+            assert abs(geometry(grid).hs_sq(v, 1) - dense) <= 1e-14 * dense
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_overflowing_field_gives_inf(self, n):
+        # finite values whose squared transform overflows: the mean's zero
+        # weight times inf is NaN, which a finite field turns into inf
+        grid = GridSpec.tensor(n, 12.0, 16)
+        v = gaussian_field(grid, 1e200, 1.0).values
+        assert np.all(np.isfinite(v))
+        assert geometry(grid).hs_sq(v, 1) == math.inf
+        v[1] = np.nan
+        assert math.isnan(geometry(grid).hs_sq(v, 1))
+
+
 class TestAbsPower:
     @pytest.mark.parametrize("p", [2, 3, 5, 2.5, 4 / 3])
     def test_within_four_ulp_of_pow(self, p):
@@ -687,6 +734,33 @@ def _inline_members(grid, v, table):
         pairs *= pairs
         return pairs
 
+    def blocked_h1():
+        # N^(n-1) sum xi_0^2 |F_0 v|^2 over 8 column blocks + N sum |xi'|^2
+        # |F' v|^2 over 8 blocks of axis-0 planes (Parseval on the others)
+        workers = grids.thread_count()
+        columns = v.reshape(points, -1)
+        width = max(1, columns.shape[1] // 8)
+        rows = np.zeros(points)
+        for j in range(0, columns.shape[1], width):
+            pairs = scipy.fft.fftn(columns[:, j : j + width], axes=(0,), workers=workers)
+            pairs = pairs.view(np.float64)
+            pairs *= pairs
+            rows += pairs.sum(axis=1)
+        total = points ** (n - 1) * float(np.sum(xi**2 * rows))
+        if n > 1:
+            rest = np.zeros([points] * (n - 1))
+            for c in np.meshgrid(*([xi] * (n - 1)), indexing="ij"):
+                rest += c**2
+            cols = np.zeros(2 * rest.size)
+            depth = max(1, points // 8)
+            for i in range(0, points, depth):
+                spectrum = scipy.fft.fftn(v[i : i + depth], axes=range(1, n), workers=workers)
+                pairs = spectrum.view(np.float64).reshape(spectrum.shape[0], -1)
+                pairs *= pairs
+                cols += pairs.sum(axis=0)
+            total += points * float(np.sum(rest.ravel() * cols.reshape(-1, 2).sum(axis=1)))
+        return total * cell / v.size
+
     ksq = np.zeros(grid.shape)
     for c in np.meshgrid(*([xi] * n), indexing="ij"):
         ksq += c**2
@@ -705,10 +779,8 @@ def _inline_members(grid, v, table):
         "integral": float(np.einsum("i,i->", table.ravel(), a2.ravel()) * cell),
         "variance": split_sum(axis, a2) * cell,
         "shell_mass": float(shell * cell),
-        "hs_sq": {
-            1: split_sum(xi, spectral_pairs()) * cell / v.size,
-            0.5: half * cell / v.size,
-        },
+        "hs_sq": {1: blocked_h1(), 0.5: half * cell / v.size},
+        "dense hs_sq 1": split_sum(xi, spectral_pairs()) * cell / v.size,
         "norm_bound": n * float(np.max(xi**2)),
         "origin_node": True,
         "symmetry": "finite_variance",
@@ -744,6 +816,9 @@ class TestGeometryContract:
         want.update({f"hs_sq {s}": value for s, value in expected["hs_sq"].items()})
         for name, value in got.items():
             assert _bits(np.float64(value)) == _bits(np.float64(want[name])), name
+        if "dense hs_sq 1" in expected:  # the full-spectrum sum it replaced
+            dense = expected["dense hs_sq 1"]
+            assert abs(got["hs_sq 1"] - dense) <= 1e-14 * dense
         assert geo.origin_node is expected["origin_node"]
         assert geo.symmetry == expected["symmetry"]
 

@@ -33,51 +33,96 @@ def test_imports_alone(module):
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: Public names with no caller yet, each with the open ROADMAP item that will
-#: call it; an entry leaves when its item lands.
+#: Public names that nothing in ``src/inls`` or ``bench`` calls, as
+#: ``module.name``, each with why it stays.
 NOT_YET_CALLED = {
-    "cylindrical_phi_R": "items 11 and 16: the cylindrical localized-virial weight",
-    "localized_virial": "items 11 and 16: the series.csv localized_virial column",
+    "diagnostics.cylindrical_phi_R": "items 11 and 16: the cylindrical localized-virial weight",
+    "diagnostics.localized_virial": "items 11 and 16: the series.csv localized_virial column",
+    "diagnostics.energy": "the 5a acceptance test imports it and stays as written",
 }
 
 
 def _public_definitions(tree):
     """Public module-level functions and classes, and the public methods of
-    those classes."""
+    those classes, as (name, class or None, node)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else []
-        for member in [node, *members]:
-            if isinstance(member, defs) and not member.name.startswith("_"):
-                yield member
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, None, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, defs) and not member.name.startswith("_"):
+                        yield member.name, node.name, member
 
 
-def _references(tree):
-    """Names the code loads, attributes it reads and names it imports;
-    docstrings and comments are not code."""
+def _inls_module(node):
+    """The ``inls`` module an ``ImportFrom`` reads from: its name, "" for
+    the package itself, None outside the package."""
+    if node.level:
+        return node.module or ""
+    if node.module == "inls" or (node.module or "").startswith("inls."):
+        return node.module[len("inls.") :] if "." in node.module else ""
+    return None
+
+
+def _references(tree, module):
+    """What a file's code reads, as (module, name) pairs for the functions
+    and classes of ``inls`` modules and as bare attribute names for methods:
+    ``module.name`` through an imported module, ``from module import name``
+    and, in ``module`` itself, loaded names.  Docstrings and comments are
+    not code."""
+    modules, qualified, attributes = {}, set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+        if isinstance(node, ast.ImportFrom):
+            source = _inls_module(node)
+            for alias in node.names if source is not None else ():
+                if source == "":  # from inls import grids
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    qualified.add((source, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("inls.") and alias.asname:
+                    modules[alias.asname] = alias.name[len("inls.") :]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                qualified.add((modules[owner.id], node.attr))
+            elif (
+                isinstance(owner, ast.Attribute)
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id == "inls"
+            ):
+                qualified.add((owner.attr, node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+            qualified.add((module, node.id))
+    return qualified, attributes
 
 
 def test_every_public_name_has_a_caller():
     # code that only tests call belongs under tests/, not in the library
-    defined, referenced = {}, set()
+    defined, qualified, attributes = {}, set(), set()
     for path in sorted((REPO / "src" / "inls").glob("*.py")) + sorted((REPO / "bench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        referenced.update(_references(tree))
-        if path.parent.name == "inls":
-            for node in _public_definitions(tree):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+        module = path.stem if path.parent.name == "inls" else None
+        names, attrs = _references(tree, module)
+        qualified |= names
+        attributes |= attrs
+        if module is not None:
+            for name, owner, node in _public_definitions(tree):
+                key = f"{module}.{name}" if owner is None else f"{module}.{owner}.{name}"
+                defined.setdefault(key, f"{path.name}:{node.lineno}")
+    def has_caller(key):
+        module, *owner, name = key.split(".")
+        return name in attributes if owner else (module, name) in qualified
+
     uncalled = {
-        name: where
-        for name, where in defined.items()
-        if name not in referenced and name not in NOT_YET_CALLED
+        key: where
+        for key, where in defined.items()
+        if not has_caller(key) and key not in NOT_YET_CALLED
     }
     assert not uncalled, f"public names no library or benchmark code calls: {uncalled}"
-    stale = [name for name in NOT_YET_CALLED if name in referenced or name not in defined]
+    stale = [key for key in NOT_YET_CALLED if key not in defined or has_caller(key)]
     assert not stale, f"allowlisted names that now have a caller or are gone: {stale}"
