@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from . import diagnostics, dynamics, exponents, grids, ground_state
-from .diagnostics import CSV_COLUMNS
+from .diagnostics import CSV_COLUMNS, format_float
 from .exponents import CRITICAL, INF, CriticalityParams, fmt
 from .grids import Field, GridSpec, PotentialWeight
 
@@ -65,12 +65,8 @@ def parse_rational(value) -> Fraction:
     raise ConfigError(f"cannot parse rational from {type(value).__name__}")
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _json_text(obj, indent=0) -> str:
-    """JSON with every float rendered at 17 significant digits."""
+    """JSON with every float as ``format_float`` renders it."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):

@@ -20,7 +20,14 @@ import numpy as np
 from .dynamics import SimConfig, nonlinear_density
 from .exponents import HypothesisViolation, hypothesis_report
 from .grids import Field, hs_norm, moments, radius_sq_values, weighted_quadratic
-from .ground_state import GroundStateQuantities, scaled_energy_ratio
+from .ground_state import GroundStateQuantities
+
+
+def format_float(x: float) -> str:
+    """The text of every float that ``series.csv``, ``report.json`` and the
+    CLI's run lines carry: 17 significant digits, which ``float()`` reads
+    back to the same value."""
+    return f"{x:.17g}"
 
 
 @dataclass
@@ -40,7 +47,7 @@ class DiagnosticsRecord:
     max_amp: float
 
     def csv_row(self):
-        return ["" if x is None else "%.17g" % x for x in _CSV_CELLS(self)]
+        return ["" if x is None else format_float(x) for x in _CSV_CELLS(self)]
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
@@ -133,8 +140,9 @@ def make_record(
 @dataclass(frozen=True)
 class ScaledGroundState:
     """Initial data c * W described exactly by its scale factor; the
-    classifier then uses the scaling algebra instead of grid quadrature
-    (uniform grids cannot resolve the bubble's slow r^-(n-2) tail)."""
+    classifier then uses the scaling algebra of ``GroundStateQuantities.scaled``
+    instead of grid quadrature (uniform grids cannot resolve the bubble's
+    slow r^-(n-2) tail).  The one check of c > 0."""
 
     c: float
 
@@ -188,9 +196,7 @@ def classify_blowup(
     e_w = gs.energy
     h1_w = gs.h1dot
     if isinstance(u0, ScaledGroundState):
-        energy_ratio, h1_ratio = scaled_energy_ratio(u0.c, gs)
-        e0 = energy_ratio * gs.h1dot_sq
-        h1_0 = h1_ratio * h1_w
+        e0, h1_0 = gs.scaled(u0.c)
     else:
         h1_0 = hs_norm(u0, 1)
         e0 = make_record(u0, cfg, cfg.dt_init, h1sq=h1_0 * h1_0).energy

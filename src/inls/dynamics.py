@@ -98,6 +98,12 @@ class SimConfig:
         every = self.record_every
         if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
             raise ValueError(f"record_every must be a positive integer, got {every!r}")
+        # records read n from the grid and b from params, the stepper reads
+        # b from the weight: the copies must agree
+        if self.grid.n != self.params.n:
+            raise ValueError(f"grid.n = {self.grid.n} differs from params.n = {self.params.n}")
+        if self.weight.b != self.params.b_float:
+            raise ValueError(f"weight.b = {self.weight.b!r} differs from params.b = {self.params.b}")
         # keep the weight evaluable on this grid (raises on bad delta)
         weight_values(self.grid, self.weight)
 
@@ -350,6 +356,10 @@ def adapt_dt(state: StepState, cfg: SimConfig) -> float:
 def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     """Advance from t = 0 to t_end with the grid-appropriate stepper.
 
+    Records: the initial field, every ``record_every``-th step, and the
+    step that reaches t_end or detects blow-up; each carries the size of
+    the step that produced it (``dt_init`` on the initial record).
+
     Early terminations: ``blowup_detected`` when the H1 seminorm grows by
     ``blowup_ratio``; ``dt_underflow`` when the adaptive step pins at dt_min
     for 10 consecutive steps; ``non_finite`` on NaN/Inf, read from the live
@@ -406,9 +416,11 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         except FloatingPointError:
             termination = "non_finite"
             break
-        # a record step takes the live mass from its record, whose mass is
+        t_next = cfg.t_end if final else t + dt_step
+        # the last step of a completed run always writes a record; a record
+        # step takes the live mass from its record, whose mass is
         # grids.mass(u) bit for bit; a non-finite step keeps no record
-        record = (steps + 1) % cfg.record_every == 0
+        record = (steps + 1) % cfg.record_every == 0 or t_next >= t_stop
         if record:
             h1 = hs_norm(u, 1)
             rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1, density=state.density)
@@ -420,7 +432,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         if not math.isfinite(m) and not np.all(np.isfinite(u.values.view(np.float64))):
             termination = "non_finite"
             break
-        t = cfg.t_end if final else t + dt_step
+        t = t_next
         u.time_tag = t  # the steppers' own sum, except after a final step
         steps += 1
         if record:
@@ -436,10 +448,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
                 records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
 
-    # a loop that ends by its condition has taken a step, so dt is the
-    # adapted step size of the last one
-    if termination == "completed" and records[-1].t < t:
-        records.append(make_record(u, cfg, dt=dt, density=state.density))
     if u.values is u0.values:  # no step completed
         u = Field(grid=u.grid, values=u0.values.copy(), time_tag=t)
     return RunOutcome(

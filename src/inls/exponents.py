@@ -42,8 +42,6 @@ class HypothesisViolation(ExponentError):
         super().__init__(
             f"hypotheses of {verdict.criterion} violated: " + "; ".join(failed)
         )
-        self.verdict = verdict
-        self.failed = failed
 
 
 INF = math.inf
@@ -328,11 +326,6 @@ class RegionReport:
     (0 <= s <= 1, s < n/2, b < min(2, n-2s)) versus the extended region
     (0 <= s < n/2, b < min(2, n-s, 1+(n-2s)/2))."""
 
-    n: int
-    s: Fraction
-    b: Fraction
-    in_baseline: bool
-    in_extended: bool
     baseline_bound: Optional[Fraction]
     extended_bound: Fraction
     classification: str
@@ -354,11 +347,6 @@ def region_comparison(params: CriticalityParams) -> RegionReport:
     else:
         classification = "neither"
     return RegionReport(
-        n=n,
-        s=s,
-        b=b,
-        in_baseline=in_baseline,
-        in_extended=in_extended,
         baseline_bound=baseline_bound,
         extended_bound=extended_bound,
         classification=classification,

@@ -100,6 +100,14 @@ class GroundStateQuantities:
     def h1dot(self) -> float:
         return math.sqrt(self.h1dot_sq)
 
+    def scaled(self, c: float) -> tuple[float, float]:
+        """``(E(cW), |cW|_H1)`` for data c*W, c > 0: the energy is
+        (c^2/2 - c^(sigma1+2)/(sigma1+2)) |W|_H1^2, the equality of the two
+        bubble integrals eliminating the potential term."""
+        sig1 = self.profile.sigma1
+        energy_ratio = 0.5 * c**2 - c ** (sig1 + 2.0) / (sig1 + 2.0)
+        return energy_ratio * self.h1dot_sq, float(c) * self.h1dot
+
 
 def _bubble_integral(C: float, alpha: float, m: float, eps: float, q: float) -> float:
     """int_0^inf C r^alpha (eps + r^q)^-m dr = (C/q) eps^(a-m) B(a, m-a) with
@@ -148,19 +156,6 @@ def compute_quantities(profile: GroundStateProfile) -> GroundStateQuantities:
         c_hs=c_hs,
         energy=energy,
     )
-
-
-def scaled_energy_ratio(c: float, quantities: GroundStateQuantities):
-    """For data c*W: (E(cW)/|W|_H1^2, |cW|_H1/|W|_H1), using the equality of
-    the two bubble integrals to eliminate the potential term.
-
-    Returns ``(energy_ratio, h1_ratio)`` = (c^2/2 - c^(sigma1+2)/(sigma1+2), c).
-    """
-    if not c > 0:
-        raise ValueError("scale factor must be positive")
-    sig1 = quantities.profile.sigma1
-    energy_ratio = 0.5 * c**2 - c ** (sig1 + 2.0) / (sig1 + 2.0)
-    return energy_ratio, float(c)
 
 
 def sample_on_grid(profile: GroundStateProfile, grid, scale: float = 1.0):

@@ -42,7 +42,6 @@ from inls.ground_state import (
     GroundStateProfile,
     compute_quantities,
     sample_on_grid,
-    scaled_energy_ratio,
 )
 from paper_checks import (
     dual_exponent_identity,

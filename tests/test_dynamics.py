@@ -332,6 +332,20 @@ class TestRun:
         with pytest.raises(ValueError):
             run(free_2d_config, gaussian_field(other, 1.0, 1.0))
 
+    @pytest.mark.parametrize("record_every", [1, 3, 7])
+    def test_last_row_carries_the_step_taken(self, record_every):
+        # ten steps of dt_init, then a short step of 0.005 to t_end: on and
+        # off the record cadence, the last row's dt is that step's size
+        cfg = _radial_config(lam=1.0, dt_init=0.01, t_end=0.105, record_every=record_every)
+        u0 = gaussian_field(cfg.grid, 0.5, 1.0)
+        t_prev = run(replace(cfg, record_every=1), u0).series[-2].t
+        outcome = run(cfg, u0)
+        assert outcome.termination == "completed" and outcome.steps == 11
+        last = outcome.series[-1]
+        assert last.t == outcome.t_final == cfg.t_end
+        assert last.dt == last.t - t_prev == pytest.approx(0.005, rel=1e-12)
+        assert [r.dt for r in outcome.series[1:-1]] == [0.01] * (10 // record_every)
+
 
 class TestSimConfigValidation:
     def test_dt_ordering(self, free_2d_config):
@@ -360,6 +374,19 @@ class TestSimConfigValidation:
 
     def test_record_every_accepted(self, free_2d_config):
         assert replace(free_2d_config, record_every=3).record_every == 3
+
+    def test_grid_dimension_must_match_params(self, free_2d_config):
+        # records take n from the grid: a 3-d box under 2-d params would
+        # report a wrong virial_rhs
+        with pytest.raises(ValueError, match="grid.n = 3 differs from params.n = 2"):
+            replace(free_2d_config, grid=GridSpec.tensor(3, 20.0, 16))
+
+    def test_weight_b_must_match_params(self, free_2d_config):
+        # the stepper takes b from the weight, records and the hypothesis
+        # checks from params
+        weight = PotentialWeight(b=0.75, delta=free_2d_config.weight.delta)
+        with pytest.raises(ValueError, match="weight.b = 0.75 differs from params.b = 1/2"):
+            replace(free_2d_config, weight=weight)
 
 
 # -- oracles: the steppers as first written, before per-run constants were
@@ -804,10 +831,11 @@ def _every_step_check_run(cfg, u0):
     h1_0 = hs_norm(u, 1)
     state = start_state(u, cfg)
     records = [make_record(u, cfg, dt=cfg.dt_init, density=state.density)]
-    t, steps, pinned, dt_prev = 0.0, 0, 0, cfg.dt_init
+    t, steps, pinned = 0.0, 0, 0
+    t_stop = cfg.t_end * (1.0 - 1e-12)
     step = strang_step if cfg.grid.kind == "tensor" else radial_cn_step
     termination = "completed"
-    while t < cfg.t_end * (1.0 - 1e-12):
+    while t < t_stop:
         dt = adapt_dt(state, cfg)
         if dt <= cfg.dt_min:
             pinned += 1
@@ -825,9 +853,8 @@ def _every_step_check_run(cfg, u0):
         t = cfg.t_end if final else t + dt_step
         u.time_tag = t
         steps += 1
-        dt_prev = dt
         h1 = hs_norm(u, 1)
-        recorded = steps % cfg.record_every == 0
+        recorded = steps % cfg.record_every == 0 or t >= t_stop
         if recorded:
             records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
@@ -835,8 +862,6 @@ def _every_step_check_run(cfg, u0):
             if not recorded:
                 records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
-    if termination == "completed" and records[-1].t < t:
-        records.append(make_record(u, cfg, dt=dt_prev, density=state.density))
     return dynamics.RunOutcome(termination, t, records, u, steps)
 
 
@@ -900,7 +925,9 @@ class TestSkippedBlowupCheck:
         outcome, calls = self._assert_same_run(cfg, u0, monkeypatch)
         assert outcome.termination == "completed"
         if side > 1.0:
-            assert calls == 1 + outcome.steps // cfg.record_every
+            # h1_0 and one per record step, the last step among them
+            k = cfg.record_every
+            assert calls == 1 + outcome.steps // k + (outcome.steps % k != 0)
         else:
             assert calls == 1 + outcome.steps
 
@@ -1035,7 +1062,8 @@ def test_run_takes_mass_only_on_steps_without_a_record(kind, record_every, monke
     masses = _spy(monkeypatch, "mass")
     outcome = run(cfg, gaussian_field(cfg.grid, 0.5, 1.0))
     assert outcome.termination == "completed" and outcome.steps == 20
-    assert len(masses) == 20 - 20 // record_every
+    # the last step writes a record whether or not it is on the cadence
+    assert len(masses) == 20 - 20 // record_every - (20 % record_every != 0)
     # a record step's live mass is its record's, grids.mass bit for bit
     assert outcome.series[-1].mass == mass(outcome.final_field)
 
@@ -1184,3 +1212,75 @@ def test_run_commutes_with_a_global_phase(kind, lam):
     want = plain.final_field.values * rotation
     got = rotated.final_field.values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# -- oracle (ROADMAP item 20): critical scaling of a whole run ---------------
+#
+# At the critical power, u_L(t, x) = L^-alpha u(t / L^2, x / L) with
+# alpha = (2 - b) / sigma solves the same equation with the weight's delta
+# scaled by L.  With L a power of two the twin's grid, wavenumbers and
+# times are exact multiples of the first run's, so its kinetic phases are
+# the same bits; the runs differ by the rounding of L^-alpha and of the
+# weight's power alone.
+
+_L = 0.5
+
+
+def _assert_scaling_twins(cfg, amplitude, width):
+    """Run (cfg, Gaussian) and its twin under x -> L x, t -> L^2 t,
+    u -> L^-alpha u, and compare them to 1e-12 relative."""
+    grid = cfg.grid
+    size = {"extent": _L * grid.extent} if grid.kind == "tensor" else {"r_max": _L * grid.r_max}
+    n, alpha = grid.n, (2.0 - cfg.params.b_float) / cfg.sigma
+    # the power of L that maps each record quantity to its twin's
+    powers = {"t": 2.0, "dt": 2.0, "mass": n - 2.0 * alpha, "variance": n + 2.0 - 2.0 * alpha}
+    invariant = ("energy", "h1dot_sq", "weighted_potential", "virial_rhs")
+    powers.update(dict.fromkeys(invariant, n - 2.0 - 2.0 * alpha))  # 0 at the critical power
+    powers["max_amp"] = -alpha
+    twin = replace(
+        cfg,
+        grid=replace(grid, **size),
+        weight=replace(cfg.weight, delta=_L * cfg.weight.delta),
+        dt_init=_L**2 * cfg.dt_init,
+        dt_min=_L**2 * cfg.dt_min,
+        t_end=_L**2 * cfg.t_end,
+    )
+    plain = run(cfg, gaussian_field(cfg.grid, amplitude, width))
+    scaled = run(twin, gaussian_field(twin.grid, _L**-alpha * amplitude, _L * width))
+    assert plain.termination == scaled.termination == "completed"
+    assert plain.steps == scaled.steps > 10
+    assert len(plain.series) == len(scaled.series) > 2
+    assert scaled.t_final == _L**2 * plain.t_final
+    for a, b in zip(plain.series, scaled.series):
+        for name, power in powers.items():
+            want, got = _L**power * getattr(a, name), getattr(b, name)
+            assert abs(got - want) <= 1e-12 * abs(want), (a.t, name, want, got)
+        # a share of the mass: compared as such, not relative to itself
+        assert abs(b.boundary_mass_fraction - a.boundary_mass_fraction) <= 1e-12
+    want = _L**-alpha * plain.final_field.values
+    got = scaled.final_field.values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    return plain
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1.0], ids=["focusing", "defocusing"])
+def test_tensor_run_commutes_with_critical_scaling(lam):
+    # 32^3; amplitude 3 makes adapt_dt cut the step below dt_init
+    cfg = replace(_focusing_3d_config(), lam=lam, dt_init=0.01, t_end=0.1, record_every=3)
+    plain = _assert_scaling_twins(cfg, 3.0, 1.0)
+    assert min(r.dt for r in plain.series) < cfg.dt_init
+
+
+def test_radial_defocusing_run_commutes_with_critical_scaling():
+    cfg = _radial_config(
+        grid=GridSpec.radial(3, 16.0, 2048), lam=1.0, dt_init=0.01, t_end=0.2, record_every=5
+    )
+    plain = _assert_scaling_twins(cfg, 1.5, 1.0)
+    assert min(r.dt for r in plain.series) < cfg.dt_init
+
+
+def test_radial_focusing_run_commutes_with_critical_scaling():
+    cfg = _radial_config(grid=GridSpec.radial(3, 16.0, 2048), t_end=0.05, record_every=10)
+    plain = _assert_scaling_twins(cfg, 1.5, 1.0)
+    # stopped while the data concentrates, before max|u| doubles
+    assert plain.series[0].max_amp < plain.series[-1].max_amp < 2.0 * plain.series[0].max_amp

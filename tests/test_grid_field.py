@@ -682,6 +682,37 @@ _CONTRACT_GRIDS = [
 ]
 
 
+def _inline_blocked_h1(grid, v):
+    """hs_sq(v, 1) on a tensor grid: N^(n-1) sum xi_0^2 |F_0 v|^2 over 8
+    column blocks + N sum |xi'|^2 |F' v|^2 over 8 blocks of axis-0 planes
+    (Parseval on the others)."""
+    n, points, h = grid.n, grid.points, grid.extent / grid.points
+    xi = 2.0 * math.pi * scipy.fft.fftfreq(points, d=h)
+    workers = grids.thread_count()
+    columns = v.reshape(points, -1)
+    width = max(1, columns.shape[1] // 8)
+    rows = np.zeros(points)
+    for j in range(0, columns.shape[1], width):
+        pairs = scipy.fft.fftn(columns[:, j : j + width], axes=(0,), workers=workers)
+        pairs = pairs.view(np.float64)
+        pairs *= pairs
+        rows += pairs.sum(axis=1)
+    total = points ** (n - 1) * float(np.sum(xi**2 * rows))
+    if n > 1:
+        rest = np.zeros([points] * (n - 1))
+        for c in np.meshgrid(*([xi] * (n - 1)), indexing="ij"):
+            rest += c**2
+        cols = np.zeros(2 * rest.size)
+        depth = max(1, points // 8)
+        for i in range(0, points, depth):
+            spectrum = scipy.fft.fftn(v[i : i + depth], axes=range(1, n), workers=workers)
+            pairs = spectrum.view(np.float64).reshape(spectrum.shape[0], -1)
+            pairs *= pairs
+            cols += pairs.sum(axis=0)
+        total += points * float(np.sum(rest.ravel() * cols.reshape(-1, 2).sum(axis=1)))
+    return total * h**n / v.size
+
+
 def _inline_members(grid, v, table):
     """Every geometry member as the grid-kind branches of ``grids`` wrote it
     inline before the geometries existed, for the field values ``v`` and
@@ -734,33 +765,6 @@ def _inline_members(grid, v, table):
         pairs *= pairs
         return pairs
 
-    def blocked_h1():
-        # N^(n-1) sum xi_0^2 |F_0 v|^2 over 8 column blocks + N sum |xi'|^2
-        # |F' v|^2 over 8 blocks of axis-0 planes (Parseval on the others)
-        workers = grids.thread_count()
-        columns = v.reshape(points, -1)
-        width = max(1, columns.shape[1] // 8)
-        rows = np.zeros(points)
-        for j in range(0, columns.shape[1], width):
-            pairs = scipy.fft.fftn(columns[:, j : j + width], axes=(0,), workers=workers)
-            pairs = pairs.view(np.float64)
-            pairs *= pairs
-            rows += pairs.sum(axis=1)
-        total = points ** (n - 1) * float(np.sum(xi**2 * rows))
-        if n > 1:
-            rest = np.zeros([points] * (n - 1))
-            for c in np.meshgrid(*([xi] * (n - 1)), indexing="ij"):
-                rest += c**2
-            cols = np.zeros(2 * rest.size)
-            depth = max(1, points // 8)
-            for i in range(0, points, depth):
-                spectrum = scipy.fft.fftn(v[i : i + depth], axes=range(1, n), workers=workers)
-                pairs = spectrum.view(np.float64).reshape(spectrum.shape[0], -1)
-                pairs *= pairs
-                cols += pairs.sum(axis=0)
-            total += points * float(np.sum(rest.ravel() * cols.reshape(-1, 2).sum(axis=1)))
-        return total * cell / v.size
-
     ksq = np.zeros(grid.shape)
     for c in np.meshgrid(*([xi] * n), indexing="ij"):
         ksq += c**2
@@ -779,7 +783,7 @@ def _inline_members(grid, v, table):
         "integral": float(np.einsum("i,i->", table.ravel(), a2.ravel()) * cell),
         "variance": split_sum(axis, a2) * cell,
         "shell_mass": float(shell * cell),
-        "hs_sq": {1: blocked_h1(), 0.5: half * cell / v.size},
+        "hs_sq": {1: _inline_blocked_h1(grid, v), 0.5: half * cell / v.size},
         "dense hs_sq 1": split_sum(xi, spectral_pairs()) * cell / v.size,
         "norm_bound": n * float(np.max(xi**2)),
         "origin_node": True,
@@ -821,6 +825,27 @@ class TestGeometryContract:
             assert abs(got["hs_sq 1"] - dense) <= 1e-14 * dense
         assert geo.origin_node is expected["origin_node"]
         assert geo.symmetry == expected["symmetry"]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            pytest.param(GridSpec.tensor(2, 12.0, 32), id="tensor2d"),
+            pytest.param(GridSpec.tensor(3, 12.0, 16), id="tensor3d"),
+        ],
+    )
+    def test_hs_sq_1_pins_its_block_order(self, grid):
+        # a random field spreads |grad u|^2 over many partial sums, so the
+        # field above keeps its bits under blocks of N/4 as well.  Here one
+        # xi_0 row carries nearly all of it: a sum over the columns of
+        # N^2 |g|^2, with g within 1% of 1, that rounds by its blocking
+        geo = geometry(grid)
+        points = grid.points
+        wave = np.exp(2j * np.pi * (points // 2 - 1) * np.arange(points) / points)
+        rng = np.random.default_rng(grid.n)
+        for k in range(16):
+            v = np.multiply.outer(wave, 1.0 + 0.01 * rng.random(grid.shape[1:]))
+            got, want = geo.hs_sq(v, 1), _inline_blocked_h1(grid, v)
+            assert _bits(np.float64(got)) == _bits(np.float64(want)), k
 
 
 class TestWeightedIntegrals:

@@ -12,7 +12,6 @@ from inls.ground_state import (
     GroundStateProfile,
     compute_quantities,
     sample_on_grid,
-    scaled_energy_ratio,
     sphere_area,
     w_eval,
 )
@@ -92,7 +91,7 @@ class TestSigma1:
         q = compute_quantities(profile)
         assert q.energy == 0.5 * q.h1dot_sq - q.potential_integral / 2.05
         assert q.c_hs == q.potential_integral ** (1.0 / 2.05) / math.sqrt(q.h1dot_sq)
-        assert scaled_energy_ratio(1.2, q)[0] == 0.5 * 1.2**2 - 1.2**2.05 / 2.05
+        assert q.scaled(1.2)[0] == (0.5 * 1.2**2 - 1.2**2.05 / 2.05) * q.h1dot_sq
 
     def test_float_b_is_read_exactly(self):
         # a float b is the rational it stores: b = 0.5 gives sigma1 = 3, and
@@ -188,29 +187,37 @@ class TestQuantities:
 
 
 class TestScaledEnergy:
+    """E(cW) and |cW|_H1 from ``GroundStateQuantities.scaled``."""
+
     def test_unit_scale(self):
         q = compute_quantities(GroundStateProfile(3, 0.5, 1.0))
-        ratio, h1 = scaled_energy_ratio(1.0, q)
+        e0, h1 = q.scaled(1.0)
         sig1 = q.profile.sigma1
-        assert ratio == pytest.approx(0.5 - 1.0 / (sig1 + 2), rel=1e-15)
-        assert h1 == 1.0
+        assert e0 == pytest.approx((0.5 - 1.0 / (sig1 + 2)) * q.h1dot_sq, rel=1e-15)
+        assert e0 == pytest.approx(q.energy, rel=1e-14)  # the bubble's own energy
+        assert h1 == q.h1dot
 
     def test_reference_value(self):
         # n=3, b=1/2 gives sigma1=3: 0.72 - 1.2^5/5 = 0.222336 exactly
         q = compute_quantities(GroundStateProfile(3, 0.5, 1.0))
-        ratio, h1 = scaled_energy_ratio(1.2, q)
-        assert ratio == pytest.approx(0.222336, abs=1e-12)
-        assert h1 == pytest.approx(1.2)
+        e0, h1 = q.scaled(1.2)
+        assert e0 / q.h1dot_sq == pytest.approx(0.222336, abs=1e-12)
+        # the classifier's operations in their order, so e0 keeps its bits
+        assert e0 == (0.5 * 1.2**2 - 1.2**5.0 / 5.0) * q.h1dot_sq
+        assert h1 == 1.2 * q.h1dot
 
     def test_small_scale_limit(self):
         q = compute_quantities(GroundStateProfile(3, 0.5, 1.0))
-        ratio, _ = scaled_energy_ratio(1e-6, q)
-        assert 0 < ratio < 1e-11
+        e0, _ = q.scaled(1e-6)
+        assert 0 < e0 / q.h1dot_sq < 1e-11
 
     def test_rejects_nonpositive(self):
-        q = compute_quantities(GroundStateProfile(3, 0.5, 1.0))
-        with pytest.raises(ValueError):
-            scaled_energy_ratio(0.0, q)
+        # the one check of c, which every outside c passes through
+        from inls.diagnostics import ScaledGroundState
+
+        for c in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="scale factor must be positive"):
+                ScaledGroundState(c)
 
 
 class TestThresholdGeometry:

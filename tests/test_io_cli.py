@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inls import cli
+from inls import cli, diagnostics, dynamics
 from inls.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -22,7 +23,7 @@ from inls.cli import (
     load_config,
     parse_rational,
 )
-from inls.diagnostics import CSV_COLUMNS
+from inls.diagnostics import CSV_COLUMNS, format_float
 from fractions import Fraction
 
 
@@ -637,3 +638,83 @@ class TestReportFormatting:
         assert "0.2857142857142857" in text
         parsed = json.loads(text)
         assert parsed["value"] == 1.0 / 3.0
+
+
+class _NumberText(str):
+    """The text of a JSON number (a float of integral value is written
+    without a fraction, so it reads as an integer)."""
+
+
+def _number_texts(value, path=()):
+    """(path, text) of every number in a JSON value parsed to _NumberText."""
+    if isinstance(value, _NumberText):
+        yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _number_texts(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _number_texts(item, path + (index,))
+
+
+class TestNumberContract:
+    """Every float that ``inls simulate`` writes to series.csv, report.json
+    and its run lines is ``diagnostics.format_float``'s text of the value
+    it had in memory, and reads back to that value."""
+
+    def test_written_floats_are_the_shared_format(self, tmp_path, capsys, monkeypatch):
+        # focusing c W data, so the report has a classification; the last
+        # step is short and off the record cadence
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 24.0, "points": 256}
+        raw["time"] = {"dt_init": 1e-3, "dt_min": 1e-12, "t_end": 0.0105, "record_every": 3}
+        raw["initial"] = {"type": "ground_state_scaled", "scale_c": 0.5, "epsilon": 1.0}
+        kept = {}
+
+        def keep(module, name):
+            function = getattr(module, name)
+
+            def call(*args):
+                kept[name] = function(*args)
+                return kept[name]
+
+            monkeypatch.setattr(module, name, call)
+
+        keep(dynamics, "run")
+        keep(diagnostics, "classify_blowup")
+        assert cli.main(["simulate", str(write_config(tmp_path, raw))]) == EXIT_OK
+        outcome, threshold = kept["run"], kept["classify_blowup"]
+        assert outcome.steps == 11 and len(outcome.series) == 5
+
+        run_dir = next((tmp_path / "runs").iterdir())
+        with open(run_dir / "series.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(outcome.series)
+        for row, record in zip(rows, outcome.series):
+            for cell, name in zip(row, CSV_COLUMNS, strict=True):
+                value = getattr(record, name)
+                if value is None:
+                    assert cell == "", name
+                else:
+                    assert cell == format_float(value) and float(cell) == value, name
+
+        text = (run_dir / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text, parse_float=_NumberText, parse_int=_NumberText)
+        expected = {("run", "t_final"): outcome.t_final}
+        for key, value in dataclasses.asdict(threshold).items():
+            if isinstance(value, float):
+                expected["classification", key] = value
+        canonical = RunConfig(raw).canonical()
+        for section, values in canonical.items():
+            for key, value in values.items():
+                if isinstance(value, float):
+                    expected["config", section, key] = value
+        found = dict(_number_texts(report))
+        for path, value in expected.items():
+            assert found[path] == format_float(value) and float(found[path]) == value, path
+        for path, number in found.items():  # the integers too
+            assert format_float(float(number)) == number, path
+
+        out = capsys.readouterr().out
+        assert f"termination: completed at t = {format_float(outcome.t_final)}\n" in out
