@@ -9,12 +9,16 @@ weighted potential from, and the next step starts from.
 
 Tensor grids: Strang splitting with an exact spectral free propagator and
 pointwise nonlinear phases (both substeps preserve the discrete mass to
-roundoff); the state carries the trailing half-phase into the next step.
-A step writes into its input only when the state owns it: ``state.owned``
-is the values array of the field the state's last step returned, so a run
-keeps one field buffer, whose leading half-phase, FFTs and trailing
-half-phase all work in place, and the consumed leading factor's buffer
-takes the new trailing factor.  Any other input is left unmodified.
+roundoff).  A step writes into its input only when the state owns it:
+``state.owned`` is the values array of the field the state's last step
+returned, so a run keeps one field buffer, whose nonlinear phases and FFTs
+all work in place.  Any other input is left unmodified.  ``run`` defers
+each step's trailing half-phase: the state records it as ``owed``, the
+next step applies it with its own leading half-phase as one phase, and
+``settle`` applies it alone where the run reads the field.  Nonlinear
+phases and the density w |u|^sigma are formed one axis-0 slab at a time
+(the 1/8 blocks of ``grids._h1_block``), so a step's only full-size
+arrays are the field, its spectrum in the same buffer, and the density.
 The free propagator factors over the axes: on a 3-d grid it is kept per
 axis and as the factor of one axis-0 plane, so a dt change rebuilds
 O(N^2) entries, not N^3.
@@ -53,6 +57,7 @@ from .grids import (
     Field,
     GridSpec,
     PotentialWeight,
+    _h1_block,
     abs_power,
     geometry,
     hs_norm,
@@ -181,21 +186,28 @@ def _free_flight(vhat: np.ndarray, grid: GridSpec, dt: float) -> None:
         row *= prop
 
 
-def nonlinear_density(
-    u: Field,
-    cfg: SimConfig,
-    out: Optional[np.ndarray] = None,
-    scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def nonlinear_density(u: Field, cfg: SimConfig, out: Optional[np.ndarray] = None) -> np.ndarray:
     """w |u|^sigma: the rate of the nonlinear phase, computed once per step
     and shared by ``adapt_dt``, the stepper and the step's record, whose
     weighted potential is the integral of it times |u|^2.  With ``out`` the
-    result is written into that real array of the grid's shape; ``scratch``,
-    another such array, holds |u| while an integer sigma's power is
-    multiplied out.  Every way of calling it rounds identically
-    (``grids.abs_power``)."""
-    out = abs_power(u.values, cfg.sigma, out, scratch)
-    out *= weight_values(u.grid, cfg.weight)
+    result is written into that real array of the grid's shape.  On a
+    tensor grid it is formed one axis-0 slab (``grids._h1_block``: 1/8 of
+    axis 0) at a time, so the |u| that an integer sigma's power is
+    multiplied out from is one slab of scratch; a radial grid's 1-d array
+    is formed whole, keeping the radial step's per-call overhead.  Every
+    way of calling it rounds identically (``grids.abs_power``)."""
+    weight = weight_values(u.grid, cfg.weight)
+    if u.grid.kind != "tensor":
+        out = abs_power(u.values, cfg.sigma, out)
+        out *= weight
+        return out
+    if out is None:
+        out = np.empty(u.grid.shape)
+    blocks = _h1_block(u.grid.points)
+    scratch = np.empty(out[blocks[0]].shape)
+    for block in blocks:
+        piece = abs_power(u.values[block], cfg.sigma, out[block], scratch)
+        piece *= weight[block]
     return out
 
 
@@ -208,10 +220,31 @@ def _half_phase(
 ) -> np.ndarray:
     """exp(-i lam dt/2 density): the phase factor of one nonlinear half-step,
     written into the complex array ``out`` when given.  ``angle``, a real
-    array of the grid's shape, receives half the phase angle and is then
+    array of ``density``'s shape, receives half the phase angle and is then
     consumed by ``_unit_phase``; without it one is allocated.  ``density``
     is left unchanged."""
     return _unit_phase(np.multiply(density, -0.25 * dt * cfg.lam, out=angle), out)
+
+
+def _apply_half_phase(
+    v: np.ndarray, density: np.ndarray, cfg: SimConfig, dt: float, out: np.ndarray, leading: bool
+) -> np.ndarray:
+    """out = exp(-i lam dt/2 density) * v on a tensor grid, built and
+    multiplied in one axis-0 slab (``grids._h1_block``) at a time; ``out``
+    may be ``v``.  Its scratch is one slab's angle and factor, so no
+    full-size factor or angle exists.  A leading half-phase multiplies
+    factor * v and a trailing one v * factor: the imaginary part of a
+    complex product rounds by operand order, and these are the orders of
+    the full-field products that a whole step has always taken, so its
+    output keeps its bits."""
+    blocks = _h1_block(cfg.grid.points)
+    angle = np.empty(density[blocks[0]].shape)
+    factor = np.empty(angle.shape, dtype=np.complex128)
+    for block in blocks:
+        _half_phase(density[block], cfg, dt, angle, factor)
+        operands = (factor, v[block]) if leading else (v[block], factor)
+        np.multiply(*operands, out=out[block])
+    return out
 
 
 @dataclass
@@ -221,21 +254,27 @@ class StepState:
     ``density`` is w |u|^sigma of the field the state belongs to (None when
     lam = 0); ``adapt_dt`` reads it and the next step starts from it.
     ``phi`` is the radial stepper's relaxed half-step density (None before
-    the first radial step).  ``factor`` and ``dt`` are the tensor stepper's
-    trailing half-phase and the dt it was built for.  The half-phase has
-    modulus one and leaves |u| unchanged, so the density taken before it is
-    that of the step's output, and while dt stays the same the next step's
-    leading factor equals it (first same as last).  ``owned`` is the values
-    array of the field the tensor stepper returned last with this state,
-    the one input its next step may overwrite.  A step consumes the state
-    it is given and returns it refilled for its output.
+    the first radial step).  ``owned`` is the values array of the field the
+    tensor stepper returned last with this state, the one input its next
+    step may overwrite.  A step consumes the state it is given and returns
+    it refilled for its output.
+
+    ``owed`` tells the tensor stepper whether to defer its trailing
+    half-phase.  None (``start_state``'s value): every step is a whole
+    Strang step.  A float: the step size whose trailing half-phase the
+    owned field still lacks (0.0 when it lacks none); a step applies it
+    together with its own leading half-phase and leaves its own trailing
+    one owed, and ``settle`` pays it.  The half-phase has modulus one, so
+    ``density`` is that of the settled field too.  The choice lives in the
+    state, not in an argument, because the debt belongs to the field the
+    state describes and travels with it from step to step; every stepper
+    keeps the signature ``step(u, cfg, dt, state)``.
     """
 
     density: Optional[np.ndarray]
     phi: Optional[np.ndarray] = None
-    factor: Optional[np.ndarray] = None
-    dt: Optional[float] = None
     owned: Optional[np.ndarray] = None
+    owed: Optional[float] = None
 
 
 def start_state(u: Field, cfg: SimConfig) -> StepState:
@@ -247,18 +286,21 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
     """One Strang step on a tensor grid: half nonlinear phase, exact spectral
     free flight, half nonlinear phase.
 
-    ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None); the step
-    reuses its factor when it was built for this dt, else frees it and
-    rebuilds it from the density.  Returns ``(field, state)`` with the
-    density buffer refilled in place for the new field.
+    ``state`` belongs to ``u`` (``start_state(u, cfg)`` when None).  The
+    leading half-phase is built from ``state.density``; with a float
+    ``state.owed`` it is exp(-i lam (owed + dt)/2 density), which also pays
+    the half-phase ``u`` still lacks, and the trailing half-phase is left
+    owed (``state.owed = dt``) instead of applied.  Returns
+    ``(field, state)`` with the density buffer refilled in place for the
+    new field.  With ``state.owed`` None, as on a direct call, the step is
+    whole.
 
     Ownership: when ``u.values is state.owned``, ``u`` is the field this
-    state's last step returned, and the step overwrites it: the half-phase
-    and the FFTs work in place in ``u.values``, whose buffer the output
-    takes, and the new trailing factor is written into the consumed leading
-    factor's buffer.  Any other ``u`` is left unmodified, the leading
-    factor's buffer becoming the FFT work array, as without a state.
-    Either way the output's values become ``state.owned``.
+    state's last step returned, and the step overwrites it: the phases and
+    the FFTs work in place in ``u.values``, whose buffer the output takes.
+    Any other ``u`` is left unmodified, its leading half-phase written into
+    a new buffer, as without a state.  Either way the output's values
+    become ``state.owned``.
     """
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
@@ -267,19 +309,10 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
     grid = u.grid
     v = u.values
     in_place = v is state.owned
-    spare = None  # a consumed leading factor, the buffer of the trailing one
-    if cfg.lam != 0.0:
-        factor = state.factor if state.dt == dt else None
-        state.factor = None  # a stale factor is freed before the rebuild
-        angle = np.empty(grid.shape)  # the real scratch of both half-phases
-        if factor is None:
-            factor = _half_phase(state.density, cfg, dt, angle)
-        # factor * v in this operand order either way, so both round alike
-        if in_place:
-            v, spare = np.multiply(factor, v, out=v), factor
-        else:
-            v = np.multiply(factor, v, out=factor)
-        del factor
+    if cfg.lam != 0.0:  # 0.0 + dt is dt: a settled field's leading half-phase
+        lead = (state.owed or 0.0) + dt
+        work = v if in_place else np.empty_like(v)
+        v = _apply_half_phase(v, state.density, cfg, lead, work, leading=True)
     vhat = scipy.fft.fftn(v, workers=thread_count(), overwrite_x=in_place or v is not u.values)
     _free_flight(vhat, grid, dt)
     out = Field(
@@ -287,12 +320,26 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
         values=scipy.fft.ifftn(vhat, workers=thread_count(), overwrite_x=True),
         time_tag=u.time_tag + dt,
     )
-    if cfg.lam != 0.0:  # angle holds |u| for |u|^sigma, then half the angle
-        density = nonlinear_density(out, cfg, state.density, scratch=angle)
-        state.factor, state.dt = _half_phase(density, cfg, dt, angle, spare), dt
-        out.values *= state.factor
+    if cfg.lam != 0.0:
+        nonlinear_density(out, cfg, state.density)
+        if state.owed is None:
+            _apply_half_phase(out.values, state.density, cfg, dt, out.values, leading=False)
+        else:
+            state.owed = dt
     state.owned = out.values
     return out, state
+
+
+def settle(u: Field, cfg: SimConfig, state: StepState) -> None:
+    """Apply the trailing half-phase that ``u``, the field the state's last
+    step returned, still lacks (``state.owed``), in place, and set
+    ``state.owed`` to 0.0.  It is the factor a whole step would have
+    applied, so a deferring step from a settled field, then ``settle``,
+    equals the whole step bit for bit.  Nothing happens when nothing is
+    owed (a radial state never owes)."""
+    if state.owed:
+        _apply_half_phase(u.values, state.density, cfg, state.owed, u.values, leading=False)
+        state.owed = 0.0
 
 
 def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] = None):
@@ -371,8 +418,20 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     record.  On other steps it is skipped when the grid bound
     ``hs_norm(u, 1)**2 <= geometry(grid).norm_bound * mass(u)`` proves the
     step cannot detect blow-up: rho_h * M < (blowup_ratio * h1_0)**2 / 2,
-    the factor 1/2 covering rounding.  ``sqrt(rho_h * M) / h1_0`` is the
+    the factor 1/2 covering rounding (M read before the field is settled,
+    which changes it only by rounding).  ``sqrt(rho_h * M) / h1_0`` is the
     largest H1 growth the grid can show at mass M.
+
+    Tensor steps defer their trailing half-phase (``StepState.owed``).
+    The run settles the field in place before every record, before every
+    exact blow-up check it does not skip, and at every termination, so
+    every record and ``final_field`` see whole Strang steps.  Settling in
+    place moves the trajectory's rounding: the next step then builds its
+    leading phase for dt/2, not (owed + dt)/2, and exp(a) exp(b) v rounds
+    differently from exp(a + b) v.  So the trajectory depends, by rounding
+    alone, on ``record_every`` and on whether the exact check runs on steps
+    without a record: a 100-step 32^3 focusing run ends 4.5e-15 relative
+    apart with ``record_every`` 1 and 10.
 
     ``u0`` is left unmodified and ``final_field`` never shares its values:
     the first step reads ``u0.values`` and writes a new array, and a run
@@ -388,6 +447,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     undetectable = 0.5 * (cfg.blowup_ratio * h1_0) ** 2
     # every record takes the potential from the state's density w |u|^sigma
     state = start_state(u, cfg)
+    state.owed = 0.0  # tensor steps defer their trailing half-phase
     records = [make_record(u, cfg, dt=cfg.dt_init, density=state.density)]
     t = 0.0
     steps = 0
@@ -406,8 +466,8 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         else:
             pinned = 0
         # a last step that float accumulation of t left within 1e-9 dt of
-        # dt is taken whole, so dt, the propagator and the carried factor
-        # stay the same; a genuinely short final step stays short
+        # dt is taken whole, so dt and the propagator stay the same; a
+        # genuinely short final step stays short
         remaining = cfg.t_end - t
         final = abs(remaining - dt) <= 1e-9 * dt
         dt_step = dt if final else min(dt, remaining)
@@ -422,6 +482,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         # grids.mass(u) bit for bit; a non-finite step keeps no record
         record = (steps + 1) % cfg.record_every == 0 or t_next >= t_stop
         if record:
+            settle(u, cfg, state)
             h1 = hs_norm(u, 1)
             rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1, density=state.density)
             m = rec.mass
@@ -441,6 +502,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
         elif h1_0 == 0.0 or rho * m < undetectable:
             continue
         else:
+            settle(u, cfg, state)
             h1 = hs_norm(u, 1)
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
             termination = "blowup_detected"
@@ -448,6 +510,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
                 records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
 
+    settle(u, cfg, state)  # after an early termination
     if u.values is u0.values:  # no step completed
         u = Field(grid=u.grid, values=u0.values.copy(), time_tag=t)
     return RunOutcome(

@@ -18,6 +18,7 @@ from inls.dynamics import (
     nonlinear_density,
     radial_cn_step,
     run,
+    settle,
     start_state,
     strang_step,
 )
@@ -589,18 +590,54 @@ def _reference_run(cfg, u0, dts):
     return v
 
 
+def _deferring_state(u, cfg):
+    """``run``'s state before its first step: each step leaves its trailing
+    half-phase owed."""
+    state = start_state(u, cfg)
+    state.owed = 0.0
+    return state
+
+
 class TestCarriedHalfPhase:
-    def test_first_step_bitwise_equal_to_direct_call(self):
+    """``run`` carries each tensor step's trailing half-phase into the next
+    step as a debt (``StepState.owed``), paid with the next leading
+    half-phase or by ``settle``."""
+
+    def test_step_then_settle_bitwise_equal_to_direct_call(self):
         cfg = _focusing_3d_config()
         u = gaussian_field(cfg.grid, 1.0, 1.0)
-        state = start_state(u, cfg)
-        state.factor, state.dt = np.ones(cfg.grid.shape, dtype=complex), 5e-4  # another dt's
-        carried, state = strang_step(u, cfg, 1e-3, state)
-        assert np.array_equal(carried.values, strang_step(u, cfg, 1e-3)[0].values)
-        assert state.dt == 1e-3
-        # first same as last: the carried factor is the next leading factor
-        fresh = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(carried, cfg))
-        assert np.max(np.abs(state.factor - fresh)) <= 1e-14
+        whole, whole_state = strang_step(u, cfg, 1e-3)
+        assert whole_state.owed is None  # a direct call defers nothing
+        state = _deferring_state(u, cfg)
+        deferred, state = strang_step(u, cfg, 1e-3, state)
+        assert state.owed == 1e-3
+        assert _same_bits(state.density, whole_state.density)
+        # the owed half-phase is exactly what separates it from the whole step
+        lacking = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(whole, cfg))
+        assert np.max(np.abs(deferred.values * lacking - whole.values)) <= 1e-14
+        assert np.max(np.abs(deferred.values - whole.values)) > 1e-6
+        settle(deferred, cfg, state)
+        assert state.owed == 0.0 and state.owned is deferred.values
+        assert _same_bits(deferred.values, whole.values)
+        settle(deferred, cfg, state)  # nothing owed: a no-op
+        assert _same_bits(deferred.values, whole.values)
+
+    @pytest.mark.parametrize("dts", [[1e-3] * 4, [1e-3, 7e-4, 7e-4, 1e-3]], ids=["same", "changing"])
+    def test_owed_phase_joins_the_next_leading_one(self, dts):
+        # exp(-i lam (owed + dt)/2 w|u|^sigma) in one phase: whole steps to
+        # rounding, whatever the dts, and the owed dt is the last one taken
+        cfg = _focusing_3d_config()
+        u0 = gaussian_field(cfg.grid, 1.0, 1.0)
+        deferred, state = u0, _deferring_state(u0, cfg)
+        whole, whole_state = u0, None
+        for dt in dts:
+            deferred, state = strang_step(deferred, cfg, dt, state)
+            whole, whole_state = strang_step(whole, cfg, dt, whole_state)
+            assert state.owed == dt
+        settle(deferred, cfg, state)
+        scale = np.max(np.abs(whole.values))
+        assert np.max(np.abs(deferred.values - whole.values)) <= 1e-14 * scale
+        assert not _same_bits(deferred.values, whole.values)  # one phase, not two
 
     def test_run_matches_reference_3d_shortened_final_step(self, monkeypatch):
         cfg = replace(_focusing_3d_config(), t_end=0.0205)
@@ -621,18 +658,19 @@ class TestCarriedHalfPhase:
         dts = [args[2] for args in steps]
         assert outcome.termination == "completed"
         changes = sum(a != b for a, b in zip(dts, dts[1:]))
-        assert 3 <= changes < len(dts) - 3  # factors both rebuilt and reused
+        assert 3 <= changes < len(dts) - 3  # dt both changes and stays
         v = _reference_run(cfg, u0, dts)
         assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
 
     @pytest.mark.parametrize(
-        "kind, stepper, factors_per_run",
-        [("tensor", "strang_step", 101), ("radial", "radial_cn_step", 0)],
+        "kind, stepper, phases_per_run",
+        # tensor: one phase per step and one per settle, on the 10 record steps
+        [("tensor", "strang_step", 110), ("radial", "radial_cn_step", 0)],
         ids=["tensor", "radial"],
     )
-    def test_one_density_and_one_factor_per_step(self, kind, stepper, factors_per_run, monkeypatch):
+    def test_one_density_and_one_factor_per_step(self, kind, stepper, phases_per_run, monkeypatch):
         densities = _spy(monkeypatch, "nonlinear_density")
-        factors = _spy(monkeypatch, "_half_phase")
+        phases = _spy(monkeypatch, "_apply_half_phase")
         dt = 2.0**-10  # exact in binary, so t reaches t_end without a short step
         base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config(blowup_ratio=1e3)
         cfg = replace(base, dt_init=dt, t_end=100 * dt, record_every=10)
@@ -641,39 +679,78 @@ class TestCarriedHalfPhase:
         dts = [args[2] for args in steps]
         assert outcome.termination == "completed"
         assert outcome.steps == 100 and set(dts) == {dt}
-        assert (len(densities), len(factors)) == (101, factors_per_run)
+        assert (len(densities), len(phases)) == (101, phases_per_run)
 
-    def test_carried_factor_adds_no_peak_memory(self, monkeypatch):
-        cfg = replace(_focusing_3d_config(), t_end=0.0205, record_every=5)
-        u0 = gaussian_field(cfg.grid, 1.0, 1.0)
-        run(cfg, u0)  # fill the per-grid caches outside the measurement
+    def test_capped_dt_run_makes_one_phase_per_step(self, defocusing_2d_config, monkeypatch):
+        # the data of test_run_matches_reference_2d_adaptive_dt: a step whose
+        # dt differs from the last one built two phases with a carried factor
+        cfg = replace(defocusing_2d_config, t_end=0.05, record_every=10)
+        u0 = gaussian_field(cfg.grid, 20.0, 0.5)
+        steps = _spy(monkeypatch, "strang_step")
+        phases = _spy(monkeypatch, "_apply_half_phase")
+        outcome = run(cfg, u0)
+        dts = [args[2] for args in steps]
+        assert outcome.termination == "completed"
+        assert sum(a != b for a, b in zip(dts, dts[1:])) >= 3
+        settles = len(outcome.series) - 1  # one per record after the initial one
+        assert len(phases) == outcome.steps + settles
+        # each step's dt is paid in full: half leading, half owed and paid
+        # with the next leading phase or by a settle
+        assert sum(args[3] for args in phases) == pytest.approx(2.0 * sum(dts), rel=1e-12)
+        v = _reference_run(cfg, u0, dts)
+        assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
 
-        def peak():
+    @pytest.mark.parametrize("termination", ["completed", "blowup_detected", "dt_underflow"])
+    def test_every_termination_returns_a_settled_field(self, termination, monkeypatch):
+        # no record step but the last: a field still owing its half-phase
+        # would miss the reference by ~1e-3 relative
+        base = replace(_focusing_3d_config(), record_every=1000)
+        cfg, amplitude = {
+            "completed": (replace(base, t_end=0.0205), 1.0),
+            # the check runs on every step and fires on step 56
+            "blowup_detected": (replace(base, blowup_ratio=1.2), 2.0),
+            # adapt_dt asks for 5e-3 and is clamped to dt_min: 9 steps
+            "dt_underflow": (replace(base, dt_init=0.01, dt_min=6e-3, safety=0.01, t_end=1.0), 1.0),
+        }[termination]
+        u0 = gaussian_field(cfg.grid, amplitude, 1.0)
+        steps = _spy(monkeypatch, "strang_step")
+        outcome = run(cfg, u0)
+        assert outcome.termination == termination and outcome.steps > 5
+        assert len(outcome.series) == (1 if termination == "dt_underflow" else 2)
+        v = _reference_run(cfg, u0, [args[2] for args in steps])
+        assert la.norm(outcome.final_field.values - v) / la.norm(v) <= 1e-12
+
+    def test_deferred_step_and_settle_allocate_no_full_size_array(self):
+        cfg = _focusing_3d_config()  # 32^3
+        u = gaussian_field(cfg.grid, 1.0, 1.0)
+        state = _deferring_state(u, cfg)
+        for dt in (1e-3, 7e-4):  # own the field, fill the propagator cache
+            u, state = strang_step(u, cfg, dt, state)
+        # one slab's real angle and complex factor, and one plane of the
+        # kinetic propagator; a full-size real array is 16 slabs' worth
+        slab = u.values.nbytes // 8
+        bound = slab // 2 + slab + u.values[0].nbytes + 4096
+
+        def traced(action):
             tracemalloc.start()
             try:
-                run(cfg, u0)
-                return tracemalloc.get_traced_memory()[1]
+                return action(), tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        with_carry = peak()
-        original = dynamics.strang_step
-
-        def dropping_factor(u, cfg, dt, state):
-            out, state = original(u, cfg, dt, state)
-            state.factor = None  # every step rebuilds its leading factor
-            return out, state
-
-        monkeypatch.setattr(dynamics, "strang_step", dropping_factor)
-        without = peak()
-        assert with_carry <= without + 4096  # bytes: bookkeeping, not a buffer
+        (u, state), peak = traced(lambda: strang_step(u, cfg, 7e-4, state))
+        assert peak <= bound and state.owed == 7e-4
+        _, peak = traced(lambda: settle(u, cfg, state))
+        assert peak <= bound and state.owed == 0.0
 
 
 def test_bubble_run_peak_memory_above_set_up():
-    # 64^3 tensor3d_bubble data: the run's peak is the one field buffer that
-    # its steps overwrite, the carried half-phase, the density and one real
-    # angle (12 MiB); with a separate output field per step it was 16.2 MiB,
-    # and 20.1 MiB with a full-size propagator as well
+    # 64^3 tensor3d_bubble data: the run's peak is on a record step, the one
+    # field buffer that its steps overwrite (4 MiB), the density and the
+    # record's |u|^2 (2 MiB each): 8.27 MiB measured.  The 0.73 MiB margin
+    # is a third of the smallest full-size array.  A carried half-phase
+    # factor and a full-size real angle made it 12.3 MiB, a separate output
+    # field per step 16.2 MiB, and a full-size propagator 20.1 MiB
     for module in (grids, dynamics, ground_state):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
@@ -696,7 +773,7 @@ def test_bubble_run_peak_memory_above_set_up():
     finally:
         tracemalloc.stop()
     assert outcome.termination == "completed" and outcome.steps == 20
-    assert peak - set_up <= 13 * 2**20
+    assert peak - set_up <= 9 * 2**20
 
 
 def test_tensor_run_retains_only_weight_and_propagator():
@@ -824,12 +901,18 @@ def test_run_looks_up_make_record_once_per_record(kind, monkeypatch):
 
 def _every_step_check_run(cfg, u0):
     """``run`` with the exact blow-up check on every step: the reference
-    for the skip.  It shares the stepping, records and final-step rule."""
+    for the skip.  It shares the stepping, records and final-step rule.
+    A tensor step leaves its trailing half-phase owed, as in ``run``; the
+    field is settled in place where ``run`` settles it (on record steps,
+    on steps whose check the grid bound does not rule out, and at the
+    end), so that both trajectories round alike, and every other step is
+    checked on a settled copy."""
     from inls.diagnostics import make_record
 
     u = Field(grid=u0.grid, values=u0.values.copy(), time_tag=0.0)
     h1_0 = hs_norm(u, 1)
-    state = start_state(u, cfg)
+    rho = geometry(u.grid).norm_bound
+    state = _deferring_state(u, cfg)
     records = [make_record(u, cfg, dt=cfg.dt_init, density=state.density)]
     t, steps, pinned = 0.0, 0, 0
     t_stop = cfg.t_end * (1.0 - 1e-12)
@@ -853,8 +936,14 @@ def _every_step_check_run(cfg, u0):
         t = cfg.t_end if final else t + dt_step
         u.time_tag = t
         steps += 1
-        h1 = hs_norm(u, 1)
         recorded = steps % cfg.record_every == 0 or t >= t_stop
+        if recorded or h1_0 > 0.0 and rho * mass(u) >= 0.5 * (cfg.blowup_ratio * h1_0) ** 2:
+            settle(u, cfg, state)
+            h1 = hs_norm(u, 1)
+        else:
+            copy = Field(u.grid, u.values.copy(), t)
+            settle(copy, cfg, replace(state))
+            h1 = hs_norm(copy, 1)
         if recorded:
             records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
         if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
@@ -862,6 +951,7 @@ def _every_step_check_run(cfg, u0):
             if not recorded:
                 records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
+    settle(u, cfg, state)
     return dynamics.RunOutcome(termination, t, records, u, steps)
 
 
@@ -909,6 +999,19 @@ class TestSkippedBlowupCheck:
         assert outcome.termination == "completed" and outcome.steps == 100
         assert calls <= len(outcome.series) + 1
 
+    def test_3d_focusing_run_checks_steps_without_a_record(self, monkeypatch):
+        # below the ceiling the check runs, and settles the field, on every
+        # step; blow-up is detected on step 56, which writes no record
+        cfg = replace(_focusing_3d_config(), blowup_ratio=1.2, record_every=10)
+        u0 = gaussian_field(cfg.grid, 2.0, 1.0)
+        assert cfg.blowup_ratio < _detection_ceiling(cfg, u0)
+        settles = _spy(monkeypatch, "settle")
+        outcome, calls = self._assert_same_run(cfg, u0, monkeypatch)
+        assert outcome.termination == "blowup_detected"
+        assert outcome.steps == 56 and outcome.steps % cfg.record_every != 0
+        assert calls == outcome.steps + 1  # the bound never held
+        assert len(settles) == outcome.steps + 1  # every step, and the end
+
     def test_detection_lands_on_the_same_step(self, monkeypatch):
         cfg = _blowup_radial_config()
         u0 = gaussian_field(cfg.grid, 3.0, 1.0 / math.sqrt(2.0))
@@ -937,13 +1040,14 @@ def test_constant_dt_run_builds_one_propagator(monkeypatch):
     # ulps short of dt, which is taken whole
     cfg = replace(_focusing_3d_config(), record_every=10)
     densities = _spy(monkeypatch, "nonlinear_density")
-    factors = _spy(monkeypatch, "_half_phase")
+    phases = _spy(monkeypatch, "_apply_half_phase")
     dynamics._kinetic_propagator.cache_clear()
     outcome = run(cfg, gaussian_field(cfg.grid, 1.0, 1.0))
     assert outcome.termination == "completed" and outcome.steps == 100
     assert outcome.t_final == cfg.t_end == outcome.final_field.time_tag
     assert dynamics._kinetic_propagator.cache_info().misses == 1
-    assert (len(densities), len(factors)) == (101, 101)
+    # one phase per step and one per settle, on the 10 record steps
+    assert (len(densities), len(phases)) == (101, 110)
 
 
 # -- run reads the live mass as its finiteness check ------------------------
