@@ -365,6 +365,36 @@ class TestMassSumOfSquares:
         u = Field(grid, values[:, ::2])
         assert mass(u) == pytest.approx(mass(Field(grid, u.values.copy())), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec.tensor(1, 12.0, 512), GridSpec.tensor(2, 12.0, 128)]
+        + [GridSpec.tensor(3, 12.0, points) for points in (16, 32, 64)],
+        ids=["tensor1d", "tensor2d", "tensor3d-16", "tensor3d-32", "tensor3d-64"],
+    )
+    def test_contiguous_values_keep_the_flat_sum_bits(self, grid):
+        # the n-d contraction of a C-contiguous array is the flat one's
+        rng = np.random.default_rng(grid.points)
+        for _ in range(3):
+            v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            v *= np.exp(4.0 * rng.standard_normal(grid.shape))  # few terms dominate
+            pairs = v.view(np.float64).ravel()
+            flat = float(np.einsum("i,i->", pairs, pairs) * grid.cell_measure)
+            assert geometry(grid).mass(v).hex() == flat.hex()
+
+    def test_padded_field_is_read_in_place(self):
+        grid = GridSpec.tensor(3, 12.0, 32)
+        v = dynamics._field_buffer(grid)
+        v[...] = gaussian_field(grid, 1.0, 1.0).values
+        geometry(grid).mass(v)  # builds nothing on a later call
+        tracemalloc.start()
+        try:
+            got = geometry(grid).mass(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # bytes; a contiguous copy is 512 KiB
+        assert got == pytest.approx(mass(Field(grid, v.copy())), rel=1e-14)
+
     @pytest.mark.parametrize("shape", [(64,), (16, 8), (8, 4, 4)])
     def test_planewise_squares_equal_the_whole_array_formula(self, shape):
         # |u|^2 built one axis-0 plane at a time rounds as re^2 + im^2 does
@@ -1016,6 +1046,27 @@ class TestFieldDump:
         loaded, _ = load_field(path)
         assert loaded.grid == grid and hash(loaded.grid) == hash(grid)
         assert (loaded.grid.extent, loaded.grid.r_max) == (grid.extent, grid.r_max)
+
+    def test_padded_field_dumps_as_its_contiguous_copy(self, tmp_path):
+        grid = GridSpec.tensor(3, 12.0, 32)
+        rng = np.random.default_rng(4)
+        padded = dynamics._field_buffer(grid)
+        padded[...] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        contiguous = padded.copy()
+        assert not padded.flags.c_contiguous and contiguous.flags.c_contiguous
+        meta = {"b": 0.5, "delta": 0.25, "sigma": 3.0, "lambda": -1.0}
+        dump_field(Field(grid, contiguous, 0.5), tmp_path / "contiguous.bin", meta)
+        tracemalloc.start()
+        try:
+            dump_field(Field(grid, padded, 0.5), tmp_path / "padded.bin", meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded[0].nbytes  # no copy of the field, not even of a plane
+        data = (tmp_path / "padded.bin").read_bytes()
+        assert data == (tmp_path / "contiguous.bin").read_bytes()
+        loaded, _ = load_field(tmp_path / "padded.bin")
+        assert loaded.values.tobytes() == contiguous.tobytes()
 
     def test_header_is_json_line(self, tmp_path):
         grid = GridSpec.radial(3, 8.0, 64)
