@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from . import diagnostics, dynamics, exponents, grids, ground_state
-from .diagnostics import CSV_COLUMNS, format_float
+from .diagnostics import CSV_COLUMNS
 from .exponents import CRITICAL, INF, CriticalityParams, fmt
 from .grids import Field, GridSpec, PotentialWeight
 
@@ -63,31 +63,6 @@ def parse_rational(value) -> Fraction:
             )
         return frac
     raise ConfigError(f"cannot parse rational from {type(value).__name__}")
-
-
-def _json_text(obj, indent=0) -> str:
-    """JSON with every float as ``format_float`` renders it."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 2)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_text(v, indent + 2)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
 
 
 # ---------------------------------------------------------------- run config
@@ -387,12 +362,13 @@ def cmd_pairs(args) -> int:
         if args.n < 1:
             raise ConfigError("dimension n must be a positive integer")
         ps = []
-        for text in args.p or ["2", "2n/(n-2)"]:
+        for text in args.p or (["2", "2n/(n-2)"] if args.n >= 3 else ["2"]):
             if text in ("inf", "infinity"):
                 ps.append(INF)
             elif text == "2n/(n-2)":
-                if args.n >= 3:
-                    ps.append(Fraction(2 * args.n, args.n - 2))
+                if args.n < 3:
+                    raise ConfigError(f"p = 2n/(n-2) needs n >= 3, got n = {args.n}")
+                ps.append(Fraction(2 * args.n, args.n - 2))
             else:
                 ps.append(parse_rational(text))
     except ConfigError as exc:
@@ -432,16 +408,16 @@ def cmd_ground_state(args) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for key, value in payload.items():
-        print(f"{key:>24} = {value}")  # a float in its shortest round-trip form
+        print(f"{key:>24} = {value}")
     if args.json:
-        Path(args.json).write_text(_json_text(payload) + "\n", encoding="utf-8")
+        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.json}")
     return EXIT_OK
 
 
 def _run_directory(base: Path, canonical: dict) -> Path:
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    digest = hashlib.sha256(_json_text(canonical).encode("utf-8")).hexdigest()[:12]
+    digest = hashlib.sha256(json.dumps(canonical).encode("utf-8")).hexdigest()[:12]
     path = base / f"{stamp}-{digest}"
     suffix = 0
     while path.exists():
@@ -468,9 +444,18 @@ def cmd_simulate(args) -> int:
             criterion: exponents.hypothesis_report(criterion, config.params)
             for criterion in exponents.CRITERIA
         }
-        # the classifier's bubble constants, before any run directory exists
-        blowup_scope = verdicts["blowup_criterion"].holds and config.lam < 0
-        gs = ground_state.compute_quantities(config.profile()) if blowup_scope else None
+        # the classification, before any run directory exists: it reads only
+        # the initial data, and c W data whose energy leaves the float range
+        # is refused here
+        threshold = None
+        if verdicts["blowup_criterion"].holds and config.lam < 0:
+            gs = ground_state.compute_quantities(config.profile())
+            if config.initial["type"] == "ground_state_scaled":
+                data = diagnostics.ScaledGroundState(config.initial["scale_c"])
+            else:
+                data = u0
+            symmetry = grids.geometry(config.grid).symmetry
+            threshold = diagnostics.classify_blowup(data, config.sim, gs, symmetry)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -515,18 +500,12 @@ def cmd_simulate(args) -> int:
         report["files"]["field_initial"] = "field_initial.bin"
         report["files"]["field_final"] = "field_final.bin"
 
-    if blowup_scope:
-        symmetry = grids.geometry(config.grid).symmetry
-        if config.initial["type"] == "ground_state_scaled":
-            data = diagnostics.ScaledGroundState(config.initial["scale_c"])
-        else:
-            data = u0
-        threshold = diagnostics.classify_blowup(data, config.sim, gs, symmetry)
+    if threshold is not None:
         report["classification"] = dataclasses.asdict(threshold)
 
-    (run_dir / "report.json").write_text(_json_text(report) + "\n", encoding="utf-8")
+    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"run directory: {run_dir}")
-    print(f"termination: {outcome.termination} at t = {format_float(outcome.t_final)}")
+    print(f"termination: {outcome.termination} at t = {outcome.t_final}")
     if "classification" in report:
         print(f"blow-up classification: {report['classification']['case']}")
     if outcome.termination == "non_finite":
@@ -575,11 +554,11 @@ def cmd_virial_report(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(header + ["d2_variance_dt2", "rel_residual"])
         for row, dd, res in zip(rows, d2, residual):
-            extra = ["", ""] if math.isnan(dd) else [format_float(dd), format_float(res)]
+            extra = ["", ""] if math.isnan(dd) else [dd, res]
             writer.writerow(row + extra)
     interior = residual[1:-1]
     print(f"wrote {out_path}")
-    print(f"max rel_residual = {format_float(float(np.max(interior)))}")
+    print(f"max rel_residual = {np.max(interior)}")
     return EXIT_OK
 
 

@@ -23,13 +23,6 @@ from .grids import Field, hs_norm, moments, radius_sq_values, weighted_quadratic
 from .ground_state import GroundStateQuantities
 
 
-def format_float(x: float) -> str:
-    """The text of every float that ``series.csv``, ``report.json`` and the
-    CLI's run lines carry: 17 significant digits, which ``float()`` reads
-    back to the same value."""
-    return f"{x:.17g}"
-
-
 @dataclass
 class DiagnosticsRecord:
     """One row of ``series.csv``; the fields, in order, are its columns."""
@@ -46,8 +39,10 @@ class DiagnosticsRecord:
     dt: float
     max_amp: float
 
-    def csv_row(self):
-        return ["" if x is None else format_float(x) for x in _CSV_CELLS(self)]
+    def csv_row(self) -> tuple:
+        """The row's cells: ``csv.writer`` writes a float as its shortest
+        round-trip text and None as an empty cell."""
+        return _CSV_CELLS(self)
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))

@@ -99,8 +99,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt_init <= 0 or self.t_end <= 0:
             raise ValueError("dt_init and t_end must be positive")
-        if not self.dt_min < self.dt_init:
-            raise ValueError("dt_min must be smaller than dt_init")
+        if not 0 < self.dt_min < self.dt_init:
+            raise ValueError("dt_min must be positive and smaller than dt_init")
         if not self.blowup_ratio > 1:
             raise ValueError("blowup_ratio must exceed 1")
         if not 0 < self.safety < 1:

@@ -103,10 +103,17 @@ class GroundStateQuantities:
     def scaled(self, c: float) -> tuple[float, float]:
         """``(E(cW), |cW|_H1)`` for data c*W, c > 0: the energy is
         (c^2/2 - c^(sigma1+2)/(sigma1+2)) |W|_H1^2, the equality of the two
-        bubble integrals eliminating the potential term."""
+        bubble integrals eliminating the potential term.  Raises ValueError
+        when either leaves the floating-point range."""
         sig1 = self.profile.sigma1
-        energy_ratio = 0.5 * c**2 - c ** (sig1 + 2.0) / (sig1 + 2.0)
-        return energy_ratio * self.h1dot_sq, float(c) * self.h1dot
+        try:
+            energy = (0.5 * c**2 - c ** (sig1 + 2.0) / (sig1 + 2.0)) * self.h1dot_sq
+        except OverflowError:
+            energy = math.inf
+        h1 = float(c) * self.h1dot
+        if not (math.isfinite(energy) and math.isfinite(h1)):
+            raise ValueError(f"the energy of c W with c = {c!r} leaves the floating-point range")
+        return energy, h1
 
 
 def _bubble_integral(C: float, alpha: float, m: float, eps: float, q: float) -> float:

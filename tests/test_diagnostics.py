@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -449,10 +451,12 @@ class TestRecords:
             boundary_mass_fraction=0.0, dt=1e-3, max_amp=float("nan"),
         )
         row = DiagnosticsRecord(**values).csv_row()
-        # the per-cell closure csv_row used before one attrgetter read the cells
-        expected = ["" if values[name] is None else f"{values[name]:.17g}" for name in CSV_COLUMNS]
-        assert row == expected
-        assert row[:2] == ["0.10000000000000001", "0.33333333333333331"]
+        # the cells are the record's values; csv.writer writes a float as its
+        # shortest round-trip text and None as an empty cell
+        assert all(cell is values[name] for cell, name in zip(row, CSV_COLUMNS, strict=True))
+        text = io.StringIO()
+        csv.writer(text).writerow(row)
+        assert text.getvalue() == "0.1,0.3333333333333333,-2.5e-300,inf,-0.0,,7.0,,0.0,0.001,nan\r\n"
 
     def test_record_energy_identity(self, defocusing_2d_config):
         u = gaussian_field(defocusing_2d_config.grid, 1.0, 1.0)
@@ -466,7 +470,7 @@ class TestRecords:
         record = make_record(u, defocusing_2d_config, dt=1e-3)
         row = record.csv_row()
         assert len(row) == len(CSV_COLUMNS)
-        assert row[CSV_COLUMNS.index("localized_virial")] == ""  # absent
+        assert row[CSV_COLUMNS.index("localized_virial")] is None  # absent
 
     def test_max_amp(self, defocusing_2d_config):
         u = gaussian_field(defocusing_2d_config.grid, 2.5, 1.0)

@@ -355,6 +355,13 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             replace(free_2d_config, dt_min=1.0)
 
+    @pytest.mark.parametrize("dt_min", [0.0, -0.0, -1e-12])
+    def test_dt_min_positive(self, free_2d_config, dt_min):
+        # dt_min = 0 let a step of size 0 through, and a negative one
+        # disarmed dt_underflow
+        with pytest.raises(ValueError, match="dt_min must be positive"):
+            replace(free_2d_config, dt_min=dt_min)
+
     def test_safety_range(self, free_2d_config):
         with pytest.raises(ValueError):
             replace(free_2d_config, safety=1.0)

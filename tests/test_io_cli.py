@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inls import cli, diagnostics, dynamics
@@ -23,7 +23,7 @@ from inls.cli import (
     load_config,
     parse_rational,
 )
-from inls.diagnostics import CSV_COLUMNS, format_float
+from inls.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from fractions import Fraction
 
 
@@ -211,6 +211,20 @@ class TestPairsCommand:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("parameter error:")
+
+    def test_critical_pair_below_three_refused(self, capsys):
+        # asked for by name, the row was dropped and the exit code was 0
+        code = cli.main(["pairs", "--n", "2", "--p", "2", "--p", "2n/(n-2)"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("parameter error:") and "n >= 3" in captured.err
+
+    def test_default_list_omits_critical_pair_below_three(self, capsys):
+        code = cli.main(["pairs", "--n", "2"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.count("p = ") == 1 and "p =        2" in out
 
 
 class TestGroundStateCommand:
@@ -414,6 +428,37 @@ class TestSimulateCommand:
         assert cli.main(["simulate", str(path)]) == EXIT_OK
         run_dir = next((tmp_path / "runs").iterdir())
         assert (run_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("dt_min", [0.0, -1.0])
+    def test_non_positive_dt_min_refused_before_run(self, tmp_path, capsys, dt_min):
+        # w |u|^sigma of this Gaussian overflows, so the step falls to dt_min:
+        # a dt_min <= 0 let a dt = 0 step through (a ZeroDivisionError
+        # traceback), and below 0 dt_underflow could never fire
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 16.0, "points": 64}
+        raw["time"]["dt_min"] = dt_min
+        raw["initial"] = {"type": "gaussian", "amplitude": 1e110, "width": 1.0}
+        code = cli.main(["simulate", str(write_config(tmp_path, raw))])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "dt_min must be positive" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("scale_c", [1e100, 4e61])
+    def test_overflowing_scaled_energy_refused_before_run(self, tmp_path, capsys, scale_c):
+        # E(cW) = (c^2/2 - c^5/5) |W|_H1^2 at n = 3, b = 1/2: c^5 overflows at
+        # 1e100, and the product at 4e61; the classifier raised OverflowError
+        # after the run, leaving a run directory without report.json
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 24.0, "points": 64}
+        raw["initial"] = {"type": "ground_state_scaled", "scale_c": scale_c}
+        code = cli.main(["simulate", str(write_config(tmp_path, raw))])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "floating-point range" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_energy_critical_scale_refused_before_run(self, tmp_path, capsys):
         raw = base_config(tmp_path)
@@ -631,36 +676,55 @@ class TestVirialReportCommand:
 
 
 class TestReportFormatting:
-    def test_floats_have_17_digits(self, tmp_path):
-        payload = {"value": 1.0 / 3.0, "nested": [2.0 / 7.0]}
-        text = cli._json_text(payload)
-        assert "0.33333333333333331" in text
-        assert "0.2857142857142857" in text
-        parsed = json.loads(text)
-        assert parsed["value"] == 1.0 / 3.0
+    def test_json_record_is_the_text_lines(self, tmp_path, capsys):
+        # both write a float as its shortest round-trip text, an integral
+        # one with its ".0"
+        json_path = tmp_path / "gs.json"
+        code = cli.main(["ground-state", "--n", "3", "--b", "1/2", "--json", str(json_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        printed = dict(line.strip().split(" = ") for line in out.splitlines() if " = " in line)
+        text = json_path.read_text(encoding="utf-8")
+        assert printed == json.loads(text, parse_float=str, parse_int=str)
+        assert printed["epsilon"] == "1.0" and printed["sigma1"] == "3.0"
 
 
-class _NumberText(str):
-    """The text of a JSON number (a float of integral value is written
-    without a fraction, so it reads as an integer)."""
-
-
-def _number_texts(value, path=()):
-    """(path, text) of every number in a JSON value parsed to _NumberText."""
-    if isinstance(value, _NumberText):
-        yield path, value
-    elif isinstance(value, dict):
+def _numbers(value, path=()):
+    """(path, number) of every int or float in a parsed JSON value."""
+    if isinstance(value, dict):
         for key, item in value.items():
-            yield from _number_texts(item, path + (key,))
+            yield from _numbers(item, path + (key,))
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            yield from _number_texts(item, path + (index,))
+            yield from _numbers(item, path + (index,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+_CELL = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),  # what numpy reductions return
+)
 
 
 class TestNumberContract:
     """Every float that ``inls simulate`` writes to series.csv, report.json
-    and its run lines is ``diagnostics.format_float``'s text of the value
-    it had in memory, and reads back to that value."""
+    and its run lines is the shortest text that reads back to the value it
+    had in memory (``repr``), written by ``csv`` and ``json``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[_CELL] * len(CSV_COLUMNS)), min_size=1, max_size=4))
+    @example([(-0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1.0, None, -3.0, 2.0**60, None, 1e22)])
+    def test_series_cells_read_back_bit_for_bit(self, rows):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "series.csv"
+            cli.write_series_csv(path, [DiagnosticsRecord(*row) for row in rows])
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *written = csv.reader(fh)
+        assert header == list(CSV_COLUMNS)
+        read = [tuple(None if cell == "" else float(cell).hex() for cell in row) for row in written]
+        assert read == [tuple(None if x is None else x.hex() for x in row) for row in rows]
 
     def test_written_floats_are_the_shared_format(self, tmp_path, capsys, monkeypatch):
         # focusing c W data, so the report has a classification; the last
@@ -697,10 +761,9 @@ class TestNumberContract:
                 if value is None:
                     assert cell == "", name
                 else:
-                    assert cell == format_float(value) and float(cell) == value, name
+                    assert cell == repr(float(value)) and float(cell) == value, name
 
-        text = (run_dir / "report.json").read_text(encoding="utf-8")
-        report = json.loads(text, parse_float=_NumberText, parse_int=_NumberText)
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
         expected = {("run", "t_final"): outcome.t_final}
         for key, value in dataclasses.asdict(threshold).items():
             if isinstance(value, float):
@@ -710,11 +773,13 @@ class TestNumberContract:
             for key, value in values.items():
                 if isinstance(value, float):
                     expected["config", section, key] = value
-        found = dict(_number_texts(report))
+        assert ("config", "params", "lambda") in expected  # an integral float, -1.0
+        numbers = dict(_numbers(report))
         for path, value in expected.items():
-            assert found[path] == format_float(value) and float(found[path]) == value, path
-        for path, number in found.items():  # the integers too
-            assert format_float(float(number)) == number, path
+            number = numbers.pop(path)
+            assert type(number) is float and number == value, path
+        # what is left are the counts: steps, records, n, points, ...
+        assert all(type(number) is int for number in numbers.values()), numbers
 
         out = capsys.readouterr().out
-        assert f"termination: completed at t = {format_float(outcome.t_final)}\n" in out
+        assert f"termination: completed at t = {float(outcome.t_final)!r}\n" in out
