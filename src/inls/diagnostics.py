@@ -11,6 +11,7 @@ sqrt(max |u|^2).
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 from typing import Optional, Union
@@ -175,7 +176,8 @@ def classify_blowup(
 
     Restricted to the hypotheses of ``hypothesis_report("blowup_criterion")``
     (``HypothesisViolation`` otherwise), a focusing coupling and a bubble
-    ``gs`` of the run's (n, b); any epsilon.
+    ``gs`` of the run's (n, b); any epsilon.  Data whose energy or H1
+    seminorm leaves the floating-point range raise ValueError.
     """
     params = cfg.params
     if not cfg.lam < 0:
@@ -195,6 +197,8 @@ def classify_blowup(
     else:
         h1_0 = hs_norm(u0, 1)
         e0 = make_record(u0, cfg, cfg.dt_init, h1sq=h1_0 * h1_0).energy
+        if not (math.isfinite(e0) and math.isfinite(h1_0)):
+            raise ValueError("the energy of the initial field leaves the floating-point range")
 
     delta = None
     if e0 < 0.0:

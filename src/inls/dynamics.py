@@ -450,16 +450,20 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     which changes it only by rounding).  ``sqrt(rho_h * M) / h1_0`` is the
     largest H1 growth the grid can show at mass M.
 
+    Each step has one observation site, where step observers would hook in:
+    a step that records or runs the exact check settles and measures H1
+    once there, a record or blow-up step makes its one record, and only
+    then does the non-finite guard run.
+
     Tensor steps defer their trailing half-phase (``StepState.owed``).
-    The run settles the field in place before every record, before every
-    exact blow-up check it does not skip, and at every termination, so
-    every record and ``final_field`` see whole Strang steps.  Settling in
-    place moves the trajectory's rounding: the next step then builds its
-    leading phase for dt/2, not (owed + dt)/2, and exp(a) exp(b) v rounds
-    differently from exp(a + b) v.  So the trajectory depends, by rounding
-    alone, on ``record_every`` and on whether the exact check runs on steps
-    without a record: a 100-step 32^3 focusing run ends 4.5e-15 relative
-    apart with ``record_every`` 1 and 10.
+    The run settles the field in place at the observation site and at every
+    termination, so every record and ``final_field`` see whole Strang steps.
+    Settling in place moves the trajectory's rounding: the next step then
+    builds its leading phase for dt/2, not (owed + dt)/2, and exp(a) exp(b) v
+    rounds differently from exp(a + b) v.  So the trajectory depends, by
+    rounding alone, on ``record_every`` and on whether the exact check runs
+    on steps without a record: a 100-step 32^3 focusing run ends 4.5e-15
+    relative apart with ``record_every`` 1 and 10.
 
     ``u0`` is left unmodified and ``final_field`` never shares its values:
     the first step reads ``u0.values`` and writes a new array, and a run
@@ -476,7 +480,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     # every record takes the potential from the state's density w |u|^sigma
     state = start_state(u, cfg)
     state.owed = 0.0  # tensor steps defer their trailing half-phase
-    records = [make_record(u, cfg, dt=cfg.dt_init, density=state.density)]
+    records = [make_record(u, cfg, cfg.dt_init, h1_0 * h1_0, state.density)]
     t = 0.0
     steps = 0
     pinned = 0
@@ -505,37 +509,31 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
             termination = "non_finite"
             break
         t_next = cfg.t_end if final else t + dt_step
+        u.time_tag = t_next  # the steppers' own sum, except after a final step
         # the last step of a completed run always writes a record; a record
         # step takes the live mass from its record, whose mass is
         # grids.mass(u) bit for bit; a non-finite step keeps no record
         record = (steps + 1) % cfg.record_every == 0 or t_next >= t_stop
-        if record:
+        m = None if record else mass(u)
+        rec, blowup = None, False
+        if record or not (h1_0 == 0.0 or rho * m < undetectable):
             settle(u, cfg, state)
             h1 = hs_norm(u, 1)
-            rec = make_record(u, cfg, dt=dt_step, h1sq=h1 * h1, density=state.density)
-            m = rec.mass
-        else:
-            m = mass(u)
+            blowup = h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0
+            if record or blowup:
+                rec = make_record(u, cfg, dt_step, h1 * h1, state.density)
+                m = rec.mass if record else m
         # a finite sum of squares has only finite terms, so only a NaN or
         # overflowed mass (a huge finite entry overflows it) needs the scan
         if not math.isfinite(m) and not np.all(np.isfinite(u.values.view(np.float64))):
             termination = "non_finite"
             break
         t = t_next
-        u.time_tag = t  # the steppers' own sum, except after a final step
         steps += 1
-        if record:
-            rec.t = t  # made while u carried the steppers' sum
+        if rec is not None:
             records.append(rec)
-        elif h1_0 == 0.0 or rho * m < undetectable:
-            continue
-        else:
-            settle(u, cfg, state)
-            h1 = hs_norm(u, 1)
-        if h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0:
+        if blowup:
             termination = "blowup_detected"
-            if not record:
-                records.append(make_record(u, cfg, dt_step, h1 * h1, state.density))
             break
 
     settle(u, cfg, state)  # after an early termination

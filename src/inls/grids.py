@@ -484,20 +484,17 @@ def radius_sq_values(grid: GridSpec, f=None, dtype=np.float64) -> np.ndarray:
     return _radial_table(geometry(grid).mesh, f, dtype)
 
 
+@lru_cache(maxsize=64)
 def weight_values(grid: GridSpec, weight: PotentialWeight) -> np.ndarray:
     if weight.delta == 0.0 and weight.b > 0 and geometry(grid).origin_node:
         raise ValueError("delta = 0 is only permitted on radial grids")
-    return _weight_values_cached(grid, weight.b, weight.delta)
 
-
-@lru_cache(maxsize=64)
-def _weight_values_cached(grid: GridSpec, b: float, delta: float) -> np.ndarray:
-    def weight(rsq):
-        rsq += delta**2
-        rsq **= -0.5 * b
+    def table(rsq):
+        rsq += weight.delta**2
+        rsq **= -0.5 * weight.b
         return rsq
 
-    return radius_sq_values(grid, weight)
+    return radius_sq_values(grid, table)
 
 
 def mass(u: Field) -> float:

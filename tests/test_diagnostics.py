@@ -206,6 +206,14 @@ class TestClassifier:
         report = classify_blowup(u0, focusing_radial_config, gs_quantities, "finite_variance")
         assert report.case == "negative_energy"
 
+    def test_rejects_field_with_non_finite_energy(self, focusing_radial_config, gs_quantities):
+        # w |u|^5 overflows at amplitude 1e110: E(u0) = -inf was reported
+        # as negative_energy
+        u0 = gaussian_field(focusing_radial_config.grid, 1e110, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="floating-point range"):
+                classify_blowup(u0, focusing_radial_config, gs_quantities, "radial")
+
     def test_rejects_noncritical_sigma(self, gs_quantities):
         grid = GridSpec.radial(3, 12.0, 64)
         params = CriticalityParams(

@@ -906,6 +906,28 @@ def test_run_looks_up_make_record_once_per_record(kind, monkeypatch):
     assert len(calls) == len(outcome.series) == 21
 
 
+@pytest.mark.parametrize("kind", ["tensor", "radial"])
+def test_run_measures_h1_of_u0_once(kind, monkeypatch):
+    # the initial record takes the H1 that scales the blow-up check, and
+    # each record step measures H1 once, at its one observation site
+    from inls import diagnostics
+
+    base = _focusing_3d_config() if kind == "tensor" else _blowup_radial_config()
+    cfg = replace(base, lam=0.0, t_end=5 * base.dt_init, record_every=1)
+    calls = []
+    original = dynamics.hs_norm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "hs_norm", counting)
+    monkeypatch.setattr(diagnostics, "hs_norm", counting)
+    outcome = run(cfg, gaussian_field(cfg.grid, 0.5, 1.0))
+    assert outcome.termination == "completed" and outcome.steps == 5
+    assert len(calls) == outcome.steps + 1
+
+
 # -- the blow-up check is skipped where the grid bound proves it cannot fire --
 
 def _every_step_check_run(cfg, u0):

@@ -572,7 +572,7 @@ class TestRadialTables:
             expected = rsq.copy()
             expected += delta**2
             expected **= -0.5 * b
-            table = grids._weight_values_cached(grid, b, delta)
+            table = grids.weight_values(grid, PotentialWeight(b, delta))
             assert np.array_equal(_bits(table), _bits(expected))
         for center in (None, (0.37, -1.1, 2.5)[: grid.n]):
             dense = _dense_sum_of_squares(grid, False, center)

@@ -392,7 +392,7 @@ class TestSimulateCommand:
         assert err.startswith("config error:") and f"{section}.{key}" in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("builder", ["_weight_values_cached", "gaussian_field"])
+    @pytest.mark.parametrize("builder", ["radius_sq_values", "gaussian_field"])
     def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch, builder):
         # stands in for numpy's _ArrayMemoryError on an oversized grid (e.g.
         # points 4096 in 3-d); nothing is really allocated
@@ -400,6 +400,7 @@ class TestSimulateCommand:
             raise MemoryError("Unable to allocate 512. GiB")
 
         monkeypatch.setattr(cli.grids, builder, exhausted)
+        cli.grids.weight_values.cache_clear()  # cold, as for a grid no run has used
         path = write_config(tmp_path, base_config(tmp_path))
         code = cli.main(["simulate", str(path)])
         err = capsys.readouterr().err
@@ -454,6 +455,19 @@ class TestSimulateCommand:
         raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
         raw["grid"] = {"kind": "radial", "r_max": 24.0, "points": 64}
         raw["initial"] = {"type": "ground_state_scaled", "scale_c": scale_c}
+        code = cli.main(["simulate", str(write_config(tmp_path, raw))])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "floating-point range" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_overflowing_field_energy_refused_before_run(self, tmp_path, capsys):
+        # w |u|^5 of this Gaussian overflows: the run directory got
+        # "e0": -Infinity as a negative_energy verdict
+        raw = base_config(tmp_path)
+        raw["params"] = {"n": 3, "s": 1, "b": "1/2", "sigma": "auto", "lambda": -1.0}
+        raw["grid"] = {"kind": "radial", "r_max": 16.0, "points": 64}
+        raw["initial"] = {"type": "gaussian", "amplitude": 1e110, "width": 1.0}
         code = cli.main(["simulate", str(write_config(tmp_path, raw))])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
