@@ -410,7 +410,11 @@ def cmd_ground_state(args) -> int:
     for key, value in payload.items():
         print(f"{key:>24} = {value}")
     if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        try:
+            Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write {args.json}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -456,6 +460,8 @@ def cmd_simulate(args) -> int:
                 data = u0
             symmetry = grids.geometry(config.grid).symmetry
             threshold = diagnostics.classify_blowup(data, config.sim, gs, symmetry)
+        canonical = config.canonical()
+        run_dir = _run_directory(config.out_dir, canonical)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -463,8 +469,6 @@ def cmd_simulate(args) -> int:
         print(f"config error: not enough memory for this grid: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    canonical = config.canonical()
-    run_dir = _run_directory(config.out_dir, canonical)
     meta = {
         "b": float(config.params.b),
         "delta": config.weight.delta,
@@ -550,15 +554,18 @@ def cmd_virial_report(args) -> int:
     residual = np.abs(d2 - rhs) / np.maximum(np.abs(rhs), eps_mach)
 
     out_path = Path(args.series).with_suffix(".virial.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["d2_variance_dt2", "rel_residual"])
-        for row, dd, res in zip(rows, d2, residual):
-            extra = ["", ""] if math.isnan(dd) else [dd, res]
-            writer.writerow(row + extra)
-    interior = residual[1:-1]
+    try:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header + ["d2_variance_dt2", "rel_residual"])
+            for row, dd, res in zip(rows, d2, residual):
+                extra = ["", ""] if math.isnan(dd) else [dd, res]
+                writer.writerow(row + extra)
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {out_path}")
-    print(f"max rel_residual = {np.max(interior)}")
+    print(f"max rel_residual = {np.max(residual[1:-1])}")
     return EXIT_OK
 
 

@@ -6,22 +6,24 @@ and ``grids.moments`` the one pass over the field behind it: |u|^2 is formed
 once as re^2 + im^2 and mass, variance, the outer-shell mass and the
 weighted potential are dot products of it against cached weight tables (the
 tensor variance: sums of its axis marginals; the potential: against the
-density w |u|^sigma, which a run hands over from its stepper); max_amp is
-sqrt(max |u|^2).
+density w |u|^sigma of ``grids.nonlinear_density``, which a run hands over
+from its stepper); max_amp is sqrt(max |u|^2).
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .dynamics import SimConfig, nonlinear_density
 from .exponents import HypothesisViolation, hypothesis_report
-from .grids import Field, hs_norm, moments, radius_sq_values, weighted_quadratic
+from .grids import Field, hs_norm, moments, nonlinear_density, radius_sq_values, weighted_quadratic
 from .ground_state import GroundStateQuantities
+
+if TYPE_CHECKING:  # annotations only: dynamics imports this module
+    from .dynamics import SimConfig
 
 
 @dataclass
@@ -114,7 +116,7 @@ def make_record(
         h1 = hs_norm(u, 1)
         h1sq = h1 * h1
     if density is None:
-        density = nonlinear_density(u, cfg)
+        density = nonlinear_density(u, cfg.weight, cfg.sigma)
     m = moments(u, density)
     pot = m.weighted_potential
     n, sig, b = cfg.grid.n, cfg.sigma, cfg.params.b_float

@@ -21,9 +21,10 @@ plane at a time (``grids._by_planes``), and nothing copies it.  1-d and
 each step's trailing half-phase: the state records it as ``owed``, the
 next step applies it with its own leading half-phase as one phase, and
 ``settle`` applies it alone where the run reads the field.  Nonlinear
-phases and the density w |u|^sigma are formed one axis-0 slab at a time
-(the 1/8 blocks of ``grids._h1_block``), so a step's only full-size
-arrays are the field, its spectrum in the same buffer, and the density.
+phases and the density w |u|^sigma (``grids.nonlinear_density``) are
+formed one axis-0 slab at a time (``grids._h1_block``), so a step's only
+full-size arrays are the field, its spectrum in the same buffer, and the
+density.
 The free propagator factors over the axes: on a 3-d grid it is kept per
 axis and as the factor of one axis-0 plane, so a dt change rebuilds
 O(N^2) entries, not N^3.
@@ -57,6 +58,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
+from . import diagnostics
 from .exponents import CriticalityParams
 from .grids import (
     Field,
@@ -64,10 +66,10 @@ from .grids import (
     PotentialWeight,
     _by_planes,
     _h1_block,
-    abs_power,
     geometry,
     hs_norm,
     mass,
+    nonlinear_density,
     thread_count,
     weight_values,
 )
@@ -194,31 +196,6 @@ def _free_flight(vhat: np.ndarray, grid: GridSpec, dt: float) -> None:
         row *= prop
 
 
-def nonlinear_density(u: Field, cfg: SimConfig, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """w |u|^sigma: the rate of the nonlinear phase, computed once per step
-    and shared by ``adapt_dt``, the stepper and the step's record, whose
-    weighted potential is the integral of it times |u|^2.  With ``out`` the
-    result is written into that real array of the grid's shape.  On a
-    tensor grid it is formed one axis-0 slab (``grids._h1_block``: 1/8 of
-    axis 0) at a time, so the |u| that an integer sigma's power is
-    multiplied out from is one slab of scratch; a radial grid's 1-d array
-    is formed whole, keeping the radial step's per-call overhead.  Every
-    way of calling it rounds identically (``grids.abs_power``)."""
-    weight = weight_values(u.grid, cfg.weight)
-    if u.grid.kind != "tensor":
-        out = abs_power(u.values, cfg.sigma, out)
-        out *= weight
-        return out
-    if out is None:
-        out = np.empty(u.grid.shape)
-    blocks = _h1_block(u.grid.points)
-    scratch = np.empty(out[blocks[0]].shape)
-    for block in blocks:
-        piece = abs_power(u.values[block], cfg.sigma, out[block], scratch)
-        piece *= weight[block]
-    return out
-
-
 def _half_phase(
     density: np.ndarray,
     cfg: SimConfig,
@@ -305,7 +282,7 @@ class StepState:
 
 def start_state(u: Field, cfg: SimConfig) -> StepState:
     """The state before the first step from ``u``."""
-    return StepState(nonlinear_density(u, cfg) if cfg.lam != 0.0 else None)
+    return StepState(nonlinear_density(u, cfg.weight, cfg.sigma) if cfg.lam != 0.0 else None)
 
 
 def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] = None):
@@ -349,7 +326,7 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
         time_tag=u.time_tag + dt,
     )
     if cfg.lam != 0.0:
-        nonlinear_density(out, cfg, state.density)
+        nonlinear_density(out, cfg.weight, cfg.sigma, state.density)
         if state.owed is None:
             _apply_half_phase(out.values, state.density, cfg, dt, out.values, leading=False)
         else:
@@ -411,7 +388,7 @@ def radial_cn_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepStat
     v_next -= u.values
     out = Field(grid=grid, values=v_next, time_tag=u.time_tag + dt)
     if cfg.lam != 0.0:
-        state.density = nonlinear_density(out, cfg)
+        state.density = nonlinear_density(out, cfg.weight, cfg.sigma)
     return out, state
 
 
@@ -469,8 +446,6 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     the first step reads ``u0.values`` and writes a new array, and a run
     that completes no step returns a copy.
     """
-    from .diagnostics import make_record
-
     if u0.grid != cfg.grid:
         raise ValueError("initial field lives on a different grid")
     u = Field(grid=u0.grid, values=u0.values, time_tag=0.0)
@@ -480,7 +455,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     # every record takes the potential from the state's density w |u|^sigma
     state = start_state(u, cfg)
     state.owed = 0.0  # tensor steps defer their trailing half-phase
-    records = [make_record(u, cfg, cfg.dt_init, h1_0 * h1_0, state.density)]
+    records = [diagnostics.make_record(u, cfg, cfg.dt_init, h1_0 * h1_0, state.density)]
     t = 0.0
     steps = 0
     pinned = 0
@@ -521,7 +496,7 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
             h1 = hs_norm(u, 1)
             blowup = h1_0 > 0.0 and h1 >= cfg.blowup_ratio * h1_0
             if record or blowup:
-                rec = make_record(u, cfg, dt_step, h1 * h1, state.density)
+                rec = diagnostics.make_record(u, cfg, dt_step, h1 * h1, state.density)
                 m = rec.mass if record else m
         # a finite sum of squares has only finite terms, so only a NaN or
         # overflowed mass (a huge finite entry overflows it) needs the scan
@@ -540,9 +515,5 @@ def run(cfg: SimConfig, u0: Field) -> RunOutcome:
     if u.values is u0.values:  # no step completed
         u = Field(grid=u.grid, values=u0.values.copy(), time_tag=t)
     return RunOutcome(
-        termination=termination,
-        t_final=t,
-        series=records,
-        final_field=u,
-        steps=steps,
+        termination=termination, t_final=t, series=records, final_field=u, steps=steps
     )

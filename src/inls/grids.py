@@ -24,6 +24,9 @@ branch on the kind.
   The last conductance is the outer face's (Dirichlet: u = 0 beyond r_max);
   the stencil and the H1 seminorm both read it, so they cannot disagree
   about the boundary.
+
+The field-pointwise helpers ``abs_power`` (|u|^p) and ``nonlinear_density``
+(w |u|^sigma) live here too.  This module imports nothing from ``inls``.
 """
 from __future__ import annotations
 
@@ -36,8 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
-
-from .ground_state import sphere_area
 
 THREADS_ENV = "INLS_THREADS"
 
@@ -365,6 +366,13 @@ class TensorGeometry:
         return self.grid.n * float(np.max(self.wavenumber_axis**2))
 
 
+@lru_cache(maxsize=16)
+def sphere_area(n: int) -> float:
+    """Surface measure of the unit sphere in n dimensions (cached: the radial
+    H1 seminorm reads it on every call)."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGeometry:
     """A radial grid's node radii r_j, node weights D_j = S_{n-1} r_j^(n-1) h,
@@ -517,7 +525,7 @@ def moments(u: Field, density: np.ndarray) -> Moments:
     the weighted potential and max |u| of ``u`` from one |u|^2.  The
     weighted potential, the integral of weight(x) |u|^(sigma+2), is that of
     ``density`` * |u|^2, ``density`` = weight(x) |u|^sigma
-    (``dynamics.nonlinear_density``)."""
+    (``nonlinear_density``)."""
     geo = geometry(u.grid)
     a2 = _abs_sq(u.values)
     total = geo.mass(u.values, a2)
@@ -575,6 +583,31 @@ def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarra
         return out
     _by_planes(np.abs, values, out=out)
     out **= p
+    return out
+
+
+def nonlinear_density(u: Field, weight: PotentialWeight, sigma: float, out=None) -> np.ndarray:
+    """w |u|^sigma: the rate of the nonlinear phase, computed once per step
+    and shared by ``adapt_dt``, the stepper and the step's record, whose
+    weighted potential is the integral of it times |u|^2.  With ``out`` the
+    result is written into that real array of the grid's shape.  On a
+    tensor grid it is formed one axis-0 slab (``_h1_block``: 1/8 of axis
+    0) at a time, so the |u| that an integer sigma's power is multiplied
+    out from is one slab of scratch; a radial grid's 1-d array is formed
+    whole, keeping the radial step's per-call overhead.  Every way of
+    calling it rounds identically (``abs_power``)."""
+    table = weight_values(u.grid, weight)
+    if u.grid.kind != "tensor":
+        out = abs_power(u.values, sigma, out)
+        out *= table
+        return out
+    if out is None:
+        out = np.empty(u.grid.shape)
+    blocks = _h1_block(u.grid.points)
+    scratch = np.empty(out[blocks[0]].shape)
+    for block in blocks:
+        piece = abs_power(u.values[block], sigma, out[block], scratch)
+        piece *= table[block]
     return out
 
 

@@ -11,18 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .exponents import critical_power
-
-
-@lru_cache(maxsize=16)
-def sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere in n dimensions (cached: the radial
-    H1 seminorm reads it on every call)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+from .grids import Field, radius_sq_values, sphere_area
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -157,11 +150,7 @@ def compute_quantities(profile: GroundStateProfile) -> GroundStateQuantities:
     c_hs = pot ** (1.0 / (sig1 + 2.0)) / math.sqrt(h1)
     energy = 0.5 * h1 - pot / (sig1 + 2.0)
     return GroundStateQuantities(
-        profile=profile,
-        h1dot_sq=h1,
-        potential_integral=pot,
-        c_hs=c_hs,
-        energy=energy,
+        profile=profile, h1dot_sq=h1, potential_integral=pot, c_hs=c_hs, energy=energy
     )
 
 
@@ -169,8 +158,6 @@ def sample_on_grid(profile: GroundStateProfile, grid, scale: float = 1.0):
     """Sample scale * W at |x| = sqrt(|x|^2) of every node, evaluated once
     per combination of distinct per-axis squares (on radial nodes
     sqrt(r * r) is r bit for bit)."""
-    from .grids import Field, radius_sq_values
-
     if grid.n != profile.n:
         raise ValueError("grid dimension must match the profile")
     values = radius_sq_values(

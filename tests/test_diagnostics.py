@@ -24,7 +24,7 @@ from inls.diagnostics import (
     second_difference,
     theta_cutoff,
 )
-from inls.dynamics import SimConfig, nonlinear_density, run
+from inls.dynamics import SimConfig, run
 from inls.exponents import CRITICAL, CriticalityParams, ExponentError, HypothesisViolation
 from inls.grids import (
     Field,
@@ -34,6 +34,7 @@ from inls.grids import (
     geometry,
     hs_norm,
     mass,
+    nonlinear_density,
     radius_sq_values,
     weight_values,
 )
@@ -404,7 +405,8 @@ class TestRecords:
         record = make_record(u, cfg, dt=cfg.dt_init)
         assert record.mass == mass(u)
         assert record.energy == energy(u, cfg)
-        assert make_record(u, cfg, cfg.dt_init, density=nonlinear_density(u, cfg)) == record
+        density = nonlinear_density(u, cfg.weight, cfg.sigma)
+        assert make_record(u, cfg, cfg.dt_init, density=density) == record
 
     @pytest.mark.parametrize("kind", ["radial", "tensor"])
     def test_run_records_use_the_current_density(self, kind):

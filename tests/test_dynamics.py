@@ -17,7 +17,6 @@ from inls.dynamics import (
     SimConfig,
     StepState,
     adapt_dt,
-    nonlinear_density,
     radial_cn_step,
     run,
     settle,
@@ -33,6 +32,7 @@ from inls.grids import (
     geometry,
     hs_norm,
     mass,
+    nonlinear_density,
     weight_values,
 )
 from paper_checks import wavenumber_sq_values
@@ -148,7 +148,7 @@ class TestUnitPhase:
         # -0.25 dt lam and -0.5 dt are exact halves of the full multipliers
         cfg = _focusing_3d_config()
         dt = 7e-4
-        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg.weight, cfg.sigma)
         halved = 0.5 * (density * (-0.5 * dt * cfg.lam))
         assert np.array_equal(dynamics._half_phase(density, cfg, dt), dynamics._unit_phase(halved))
         dynamics._kinetic_propagator.cache_clear()
@@ -159,7 +159,7 @@ class TestUnitPhase:
 
     def test_half_phase_allocates_only_its_output(self):
         cfg = _focusing_3d_config()  # 32^3
-        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg.weight, cfg.sigma)
         angle = np.empty(cfg.grid.shape)
         tracemalloc.start()
         try:
@@ -171,7 +171,7 @@ class TestUnitPhase:
 
     def test_half_phase_into_out_allocates_no_field(self):
         cfg = _focusing_3d_config()  # 32^3
-        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg)
+        density = nonlinear_density(gaussian_field(cfg.grid, 1.0, 1.0), cfg.weight, cfg.sigma)
         angle = np.empty(cfg.grid.shape)
         buf = np.empty(cfg.grid.shape, dtype=np.complex128)
         tracemalloc.start()
@@ -473,7 +473,8 @@ class TestMatchesOriginalSteppers:
         for k in range(200):
             dt = 1e-3 * (1.0 + 0.5 * math.sin(0.7 * k))
             u = Field(grid, v)
-            u, state = radial_cn_step(u, cfg, dt, StepState(nonlinear_density(u, cfg), phi_ref))
+            density = nonlinear_density(u, cfg.weight, cfg.sigma)
+            u, state = radial_cn_step(u, cfg, dt, StepState(density, phi_ref))
             v, phi_ref = _reference_radial_step(v, cfg, dt, phi_ref)
             assert la.norm(u.values - v) / la.norm(v) <= 1e-12, f"differs at step {k}"
             assert la.norm(state.phi - phi_ref) / la.norm(phi_ref) <= 1e-12
@@ -511,7 +512,7 @@ class TestMatchesOriginalSteppers:
         cfg = focusing_radial_config
         u = gaussian_field(cfg.grid, 1.5, 1.0)
         before = u.values.copy()
-        density = nonlinear_density(u, cfg)
+        density = nonlinear_density(u, cfg.weight, cfg.sigma)
         phi = 0.9 * density
         out, _ = radial_cn_step(u, cfg, 1e-3, StepState(density, phi))
         assert np.array_equal(u.values, before)
@@ -622,7 +623,7 @@ class TestCarriedHalfPhase:
         assert state.owed == 1e-3
         assert _same_bits(state.density, whole_state.density)
         # the owed half-phase is exactly what separates it from the whole step
-        lacking = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(whole, cfg))
+        lacking = np.exp(-0.5j * 1e-3 * cfg.lam * nonlinear_density(whole, cfg.weight, cfg.sigma))
         assert np.max(np.abs(deferred.values * lacking - whole.values)) <= 1e-14
         assert np.max(np.abs(deferred.values - whole.values)) > 1e-6
         settle(deferred, cfg, state)
@@ -1366,11 +1367,11 @@ class TestPaddedFieldBuffer:
         padded[...] = values
         assert _plane_stride_is_padded(padded)
         u, copy = Field(grid, padded, 0.25), Field(grid, values, 0.25)
-        assert _same_bits(nonlinear_density(u, cfg), nonlinear_density(copy, cfg))
+        density = nonlinear_density(copy, cfg.weight, cfg.sigma)
+        assert _same_bits(nonlinear_density(u, cfg.weight, cfg.sigma), density)
         for s in (1, 0.5, 2):
             assert hs_norm(u, s) == hs_norm(copy, s), s
         assert hs_norm(u, 0) == pytest.approx(hs_norm(copy, 0), rel=1e-14)
-        density = nonlinear_density(copy, cfg)
         got, want = grids.moments(u, density), grids.moments(copy, density)
         _assert_equal_but_for_the_mass_sum(got, want, grids.Moments._fields)
         got, want = make_record(u, cfg, 1e-3), make_record(copy, cfg, 1e-3)

@@ -29,10 +29,11 @@ from inls.grids import (
     mass,
     moments,
     radius_sq_values,
+    sphere_area,
     weight_values,
     weighted_quadratic,
 )
-from inls.ground_state import GroundStateProfile, sample_on_grid, sphere_area, w_eval
+from inls.ground_state import GroundStateProfile, sample_on_grid, w_eval
 from paper_checks import wavenumber_sq_values
 
 

@@ -7,14 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from inls.grids import GridSpec, geometry
-from inls.ground_state import (
-    GroundStateProfile,
-    compute_quantities,
-    sample_on_grid,
-    sphere_area,
-    w_eval,
-)
+from inls.grids import GridSpec, geometry, sphere_area
+from inls.ground_state import GroundStateProfile, compute_quantities, sample_on_grid, w_eval
 
 
 def closed_form_h1(n: int, b: float) -> float:

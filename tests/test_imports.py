@@ -1,9 +1,12 @@
-"""Every module imports on its own, in a fresh interpreter, and every public
-name in it has a caller outside the tests.
+"""Every module imports on its own, in a fresh interpreter; the modules
+import each other in one direction only; and every public name in them has
+a caller outside the tests.
 
-The package namespace imports none of its modules, so the order in which a
-caller's imports load them is not fixed; an import cycle would fail only for
-the modules that start it.
+The package namespace imports none of its modules.  Each module imports
+the ``inls`` modules it needs at module level, and their import graph has no
+cycle (imports under ``if TYPE_CHECKING:`` only serve annotations), so any
+module can be imported first.  No function imports an ``inls`` module, which
+would hide a dependency, and a cycle with it, from that graph.
 """
 import ast
 import os
@@ -63,6 +66,70 @@ def _inls_module(node):
     if node.module == "inls" or (node.module or "").startswith("inls."):
         return node.module[len("inls.") :] if "." in node.module else ""
     return None
+
+
+def _loaded_modules(node):
+    """The ``inls`` modules an import statement loads; "" is the package."""
+    if isinstance(node, ast.ImportFrom):
+        source = _inls_module(node)
+        if source == "":  # from . import grids
+            return [alias.name for alias in node.names]
+        return [] if source is None else [source]
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+        return [name[len("inls.") :] for name in names if name.startswith("inls.")]
+    return []
+
+
+def _is_type_checking(node):
+    return isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "TYPE_CHECKING",
+        "typing.TYPE_CHECKING",
+    )
+
+
+def _import_sites(nodes, function=None):
+    """(function or None, imported module) for every ``inls`` import that
+    runs when the module loads (function None) or when a function runs,
+    skipping ``if TYPE_CHECKING:`` bodies."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _import_sites(node.body, function or node.name)
+            continue
+        for name in _loaded_modules(node):
+            yield function, name
+        children = node.orelse if _is_type_checking(node) else ast.iter_child_nodes(node)
+        yield from _import_sites(children, function)
+
+
+def _import_graph():
+    """Each ``src/inls`` module's module-level ``inls`` imports, and the
+    imports made inside its functions as ``module.function: imported``."""
+    graph, late = {}, {}
+    for path in sorted((REPO / "src" / "inls").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        graph[path.stem] = set()
+        for function, name in _import_sites(tree.body):
+            if function is None:
+                graph[path.stem].add(name)
+            else:
+                late.setdefault(f"{path.stem}.{function}", set()).add(name)
+    return graph, late
+
+
+def test_no_function_imports_an_inls_module():
+    _, late = _import_graph()
+    assert not late, f"functions that import inls modules: {late}"
+
+
+def test_module_imports_form_no_cycle():
+    graph, _ = _import_graph()
+    assert "__init__" in graph and not graph["__init__"], "the package imports its modules"
+    remaining = {module: names - {""} for module, names in graph.items()}
+    while remaining:  # peel off the modules that import no remaining module
+        ready = {module for module, names in remaining.items() if not names & set(remaining)}
+        assert ready, f"inls modules in an import cycle: {remaining}"
+        remaining = {module: names for module, names in remaining.items() if module not in ready}
 
 
 def _references(tree, module):

@@ -289,8 +289,28 @@ class TestGroundStateCommand:
         code = cli.main(["ground-state", "--n", "2", "--b", "0.5"])
         assert code == EXIT_USAGE
 
+    def test_unwritable_json_path_is_refused(self, tmp_path, capsys):
+        json_path = tmp_path / "nodir" / "x.json"
+        code = cli.main(["ground-state", "--n", "3", "--b", "1/2", "--json", str(json_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith(f"cannot write {json_path}: ") and err.count("\n") == 1
+        assert not json_path.parent.exists()
+
 
 class TestSimulateCommand:
+    def test_output_directory_naming_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        raw = base_config(tmp_path)
+        raw["output"]["directory"] = str(taken)
+        code = cli.main(["simulate", str(write_config(tmp_path, raw))])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert taken.read_text(encoding="utf-8") == "not a directory"
+
     def test_free_gaussian_run(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
         code = cli.main(["simulate", str(path)])
@@ -687,6 +707,21 @@ class TestVirialReportCommand:
             for k in range(4):
                 writer.writerow([str(k * 0.1), "1.0"])
         assert cli.main(["virial-report", str(path)]) == EXIT_USAGE
+
+    def test_unwritable_report_path_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "variance", "virial_rhs"])
+            for k in range(4):
+                writer.writerow([str(k * 0.1), str((k * 0.1) ** 2), "2.0"])
+        report = tmp_path / "s.virial.csv"
+        report.mkdir()
+        code = cli.main(["virial-report", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith(f"cannot write {report}: ") and captured.err.count("\n") == 1
+        assert report.is_dir() and not any(report.iterdir())
 
 
 class TestReportFormatting:
