@@ -407,15 +407,15 @@ def cmd_ground_state(args) -> int:
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for key, value in payload.items():
-        print(f"{key:>24} = {value}")
-    if args.json:
+    lines = [f"{key:>24} = {value}" for key, value in payload.items()]
+    if args.json:  # written before any output: a refused path prints nothing
         try:
             Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         except OSError as exc:
             print(f"cannot write {args.json}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"wrote {args.json}")
+        lines.append(f"wrote {args.json}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -540,6 +540,9 @@ def cmd_virial_report(args) -> int:
         rhs = np.array([float(row[idx["virial_rhs"]]) for row in rows])
     except (ValueError, IndexError) as exc:
         print(f"series has non-numeric or absent cells: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        print("series t must be finite and strictly increasing", file=sys.stderr)
         return EXIT_USAGE
 
     if args.t_max is not None:

@@ -12,19 +12,14 @@ pointwise nonlinear phases (both substeps preserve the discrete mass to
 roundoff).  A step writes into its input only when the state owns it:
 ``state.owned`` is the values array of the field the state's last step
 returned, so a run keeps one field buffer, whose nonlinear phases and FFTs
-all work in place.  Any other input is left unmodified.  On a 3-d grid
-that buffer (``_field_buffer``) pads each axis-0 plane by one cache line,
-so its planes are not a power of two apart, where the axis-0 FFT would
-thrash the cache; the phase and density passes touch it one contiguous
-plane at a time (``grids._by_planes``), and nothing copies it.  1-d and
-2-d buffers are C-contiguous.  ``run`` defers
-each step's trailing half-phase: the state records it as ``owed``, the
-next step applies it with its own leading half-phase as one phase, and
-``settle`` applies it alone where the run reads the field.  Nonlinear
-phases and the density w |u|^sigma (``grids.nonlinear_density``) are
-formed one axis-0 slab at a time (``grids._h1_block``), so a step's only
-full-size arrays are the field, its spectrum in the same buffer, and the
-density.
+all work in place; it is C-contiguous.  Any other input is left
+unmodified.  ``run`` defers each step's trailing half-phase: the state
+records it as ``owed``, the next step applies it with its own leading
+half-phase as one phase, and ``settle`` applies it alone where the run
+reads the field.  Nonlinear phases and the density w |u|^sigma
+(``grids.nonlinear_density``) are formed one axis-0 slab at a time
+(``grids._h1_block``), so a step's only full-size arrays are the field,
+its spectrum in the same buffer, and the density.
 The free propagator factors over the axes: on a 3-d grid it is kept per
 axis and as the factor of one axis-0 plane, so a dt change rebuilds
 O(N^2) entries, not N^3.
@@ -64,7 +59,6 @@ from .grids import (
     Field,
     GridSpec,
     PotentialWeight,
-    _by_planes,
     _h1_block,
     geometry,
     hs_norm,
@@ -181,10 +175,9 @@ def _kinetic_propagator(grid: GridSpec, dt: float):
 
 def _free_flight(vhat: np.ndarray, grid: GridSpec, dt: float) -> None:
     """Multiply the spectrum ``vhat`` in place by exp(-i dt |xi|^2).  On a
-    3-d grid each axis-0 plane of ``vhat`` (contiguous, as in a padded
-    field buffer, wherever the next plane starts) gets axis[i] * plane,
-    formed in one plane-sized scratch array: no full-size temporary and
-    one pass over ``vhat``."""
+    3-d grid each axis-0 plane of ``vhat`` gets axis[i] * plane, formed in
+    one plane-sized scratch array: no full-size temporary and one pass over
+    ``vhat``."""
     axis, plane = _kinetic_propagator(grid, dt)
     plane = plane.reshape(grid.shape[-2:])
     if grid.n < 3:
@@ -228,25 +221,8 @@ def _apply_half_phase(
     for block in blocks:
         _half_phase(density[block], cfg, dt, angle, factor)
         operands = (factor, v[block]) if leading else (v[block], factor)
-        _by_planes(np.multiply, *operands, out=out[block])
+        np.multiply(*operands, out=out[block])
     return out
-
-
-def _field_buffer(grid: GridSpec) -> np.ndarray:
-    """An uninitialised complex array of the tensor grid's shape: the one
-    field buffer of a run.  On a 3-d grid it is the [:, :N^2] view of an
-    (N, N^2 + 4) array, reshaped: each axis-0 plane is one contiguous run
-    of N^2 values, but consecutive planes lie N^2 + 4 values (one more
-    64-byte cache line) apart instead of a power of two.  At a power-of-two
-    stride the N lines of an axis-0 FFT fall into the same cache sets, and
-    that pass cost twice the contiguous one's (1.38-1.59 against 0.71 ms
-    at 64^3); any pad from 1 to 64 values removes that.  Fewer axes keep
-    a C-contiguous array."""
-    if grid.n < 3:
-        return np.empty(grid.shape, dtype=np.complex128)
-    plane = grid.points**2
-    rows = np.empty((grid.points, plane + 4), dtype=np.complex128)
-    return rows[:, :plane].reshape(grid.shape)
 
 
 @dataclass
@@ -258,9 +234,8 @@ class StepState:
     ``phi`` is the radial stepper's relaxed half-step density (None before
     the first radial step).  ``owned`` is the values array of the field the
     tensor stepper returned last with this state, the one input its next
-    step may overwrite: a ``_field_buffer``, padded by plane on a 3-d grid.
-    A step consumes the state it is given and returns it refilled for its
-    output.
+    step may overwrite.  A step consumes the state it is given and returns
+    it refilled for its output.
 
     ``owed`` tells the tensor stepper whether to defer its trailing
     half-phase.  None (``start_state``'s value): every step is a whole
@@ -302,9 +277,9 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
     state's last step returned, and the step overwrites it: the phases and
     the FFTs work in place in ``u.values``, whose buffer the output takes.
     Any other ``u`` is left unmodified, its leading half-phase (with
-    lam = 0, a copy of it) written into a new ``_field_buffer``, as without
-    a state.  Either way the output's values become ``state.owned``, so on
-    a 3-d grid they are padded by plane.
+    lam = 0, a copy of it) written into a new C-contiguous buffer, as
+    without a state.  Either way the output's values become
+    ``state.owned``.
     """
     if u.grid.kind != "tensor":
         raise ValueError("strang_step runs on tensor grids")
@@ -312,7 +287,7 @@ def strang_step(u: Field, cfg: SimConfig, dt: float, state: Optional[StepState] 
         state = start_state(u, cfg)
     grid = u.grid
     v = u.values
-    work = v if v is state.owned else _field_buffer(grid)
+    work = v if v is state.owned else np.empty_like(v, order="C")
     if cfg.lam != 0.0:  # 0.0 + dt is dt: a settled field's leading half-phase
         lead = (state.owed or 0.0) + dt
         _apply_half_phase(v, state.density, cfg, lead, work, leading=True)

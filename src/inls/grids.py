@@ -264,17 +264,10 @@ class TensorGeometry:
 
     def mass(self, values: np.ndarray, a2=None) -> float:
         """Squared L2 norm of ``values``: their (re, im) pairs contracted with
-        themselves over every axis, with no full-size temporary; ``a2`` is
-        not read.  A padded field's planes are read where they lie; only
-        values whose last axis is strided are copied first.  einsum's
-        partial sums follow the memory layout, so a padded field's mass
-        may round apart from its contiguous copy's (by 3.4e-15 relative on
-        a 32^3 run's record; at 64^3 they agree)."""
-        if values.strides[-1] != values.itemsize:
-            values = np.ascontiguousarray(values)
-        pairs = values.view(np.float64)
-        axes = list(range(pairs.ndim))
-        return float(np.einsum(pairs, axes, pairs, axes, []) * self.grid.cell_measure)
+        themselves, with no temporary unless ``values`` is not C-contiguous
+        (then a copy is, so every layout sums alike); ``a2`` is not read."""
+        pairs = np.ascontiguousarray(values).view(np.float64).ravel()
+        return float(np.einsum("i,i->", pairs, pairs) * self.grid.cell_measure)
 
     def integral(self, table: np.ndarray, a2: np.ndarray) -> float:
         """Integral of table * a2."""
@@ -549,21 +542,6 @@ def hs_norm(u: Field, s: float) -> float:
     return math.sqrt(geometry(u.grid).hs_sq(u.values, s))
 
 
-def _by_planes(ufunc, *operands: np.ndarray, out) -> np.ndarray:
-    """``ufunc(*operands, out=out)``, called once per axis-0 plane when
-    ``out`` is 3-d.  NumPy buffers a ufunc on slabs of a padded field
-    (|u| of a 64^3 slab into contiguous scratch: 67 against 46 us for a
-    contiguous slab, and ~130 KB of buffers; an in-place multiply copies
-    the slab), while each axis-0 plane of one is a contiguous run.  Fewer
-    axes, or no ``out``, take one call: a 2-d plane is one row, too short
-    to be worth a call of its own."""
-    if out is None or out.ndim < 3:
-        return ufunc(*operands, out=out)
-    for planes in zip(*operands, out):
-        ufunc(*planes)  # the last positional argument is the output
-    return out
-
-
 def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarray:
     """|values|^p as a real array, written into ``out`` when given.
 
@@ -571,17 +549,16 @@ def abs_power(values: np.ndarray, p: float, out=None, scratch=None) -> np.ndarra
     (held in ``scratch`` when given, else in a fresh array): two to three
     times cheaper than the float ``**`` and within a few ulp of it.  Any
     other p uses ``**``.  With or without ``out``, the result rounds alike.
-    |values| of a 3-d array is taken one plane at a time (``_by_planes``).
     """
     if out is None:
         out = np.empty(values.shape)
     if float(p).is_integer() and 2 <= p <= 8:
-        base = _by_planes(np.abs, values, out=scratch)
+        base = np.abs(values, out=scratch)
         np.multiply(base, base, out=out)
         for _ in range(int(p) - 2):
             out *= base
         return out
-    _by_planes(np.abs, values, out=out)
+    np.abs(values, out=out)
     out **= p
     return out
 
@@ -655,14 +632,11 @@ def dump_field(u: Field, path, meta: dict) -> None:
     }
     size = _SIZE_KEYS[grid.kind]
     header[size] = getattr(grid, size)
-    values = u.values
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        # one axis-0 plane at a time: a padded field's planes are each
-        # written where they lie, with no full-size copy
-        for plane in values if values.ndim > 1 else (values,):
-            fh.write(np.ascontiguousarray(plane, dtype="<c16").data)
+        # a C-contiguous little-endian field is written where it lies
+        fh.write(np.ascontiguousarray(u.values, dtype="<c16").data)
 
 
 def load_field(path):

@@ -1274,25 +1274,16 @@ class TestStepOwnership:
         assert _same_bits(u0.values, gaussian_field(cfg.grid, 1.5, 1.0).values)
 
 
-def _plane_stride_is_padded(values):
-    """True when ``values`` is a 3-d field whose axis-0 planes are each one
-    contiguous run but lie further apart than N^2 values."""
-    points = values.shape[-1]
-    inner = (points * values.itemsize, values.itemsize)
-    return values.strides[1:] == inner and values.strides[0] > points**2 * values.itemsize
-
-
-def _assert_equal_but_for_the_mass_sum(got, want, names):
-    """Every named attribute of ``got`` equals ``want``'s, except the mass
-    and the boundary fraction divided by it: the one sum whose order
-    follows the memory layout (``TensorGeometry.mass``'s einsum over N^3
-    positive terms), which rounds apart by a few 1e-15 relative."""
-    for name in names:
-        x, y = getattr(got, name), getattr(want, name)
-        if name in ("mass", "boundary_mass_fraction"):
-            assert x == pytest.approx(y, rel=1e-14, abs=0.0), name
-        else:
-            assert x == y, name
+def _strided_view(grid):
+    """An uninitialised complex array of a 3-d tensor grid's shape that is
+    not C-contiguous: the [:, :N^2] view of an (N, N^2 + 4) array, reshaped,
+    so each axis-0 plane is one contiguous run but the planes lie further
+    apart than N^2 values."""
+    points = grid.points
+    view = np.empty((points, points**2 + 4), dtype=complex)[:, : points**2]
+    view = view.reshape(grid.shape)
+    assert not view.flags.c_contiguous and view.strides[-1] == view.itemsize
+    return view
 
 
 _LAYOUT_CASES = [
@@ -1300,13 +1291,13 @@ _LAYOUT_CASES = [
 ]
 
 
-class TestPaddedFieldBuffer:
-    """A 3-d run's one field buffer pads each axis-0 plane, so its planes
-    are not a power of two apart; 1-d and 2-d buffers are C-contiguous.
-    The layout changes no bit of any step."""
+class TestFieldBufferLayout:
+    """A tensor run's one field buffer is C-contiguous on every grid, and
+    the observables of a field that is not are those of its C-contiguous
+    copy, bit for bit."""
 
     @pytest.mark.parametrize("n, lam", _LAYOUT_CASES)
-    def test_step_and_run_buffers_follow_the_layout_rule(self, n, lam, monkeypatch):
+    def test_step_and_run_buffers_are_c_contiguous(self, n, lam, monkeypatch):
         cfg = replace(_small_tensor_config(n, lam), t_end=5e-3, record_every=2)
         u0 = gaussian_field(cfg.grid, 1.5, 1.0)
         out, state = strang_step(u0, cfg, 1e-3)  # a field it did not make
@@ -1314,68 +1305,33 @@ class TestPaddedFieldBuffer:
         outcome = run(cfg, u0)
         assert outcome.termination == "completed" and len(steps) == outcome.steps == 5
         for values in (state.owned, out.values, outcome.final_field.values):
-            if n == 3:
-                assert _plane_stride_is_padded(values) and not values.flags.c_contiguous
-            else:
-                assert values.flags.c_contiguous
-
-    @pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
-    def test_3d_steps_equal_contiguous_steps_bit_for_bit(self, lam, monkeypatch):
-        # the same steps with dynamics._field_buffer giving C-contiguous
-        # arrays, the layout of 1-d and 2-d grids
-        cfg = replace(_small_tensor_config(3, lam), t_end=0.0135, record_every=3)
-        u0 = gaussian_field(cfg.grid, 1.5, 1.0)
-        dts = [1e-3, 1e-3, 7e-4, 7e-4, 1e-3]
-
-        def steps():
-            whole, whole_state = u0, None
-            deferred, state = u0, _deferring_state(u0, cfg)
-            fields = []
-            for dt in dts:
-                whole, whole_state = strang_step(whole, cfg, dt, whole_state)
-                deferred, state = strang_step(deferred, cfg, dt, state)
-                fields.append(whole.values.copy())
-            settle(deferred, cfg, state)
-            outcome = run(cfg, u0)
-            return fields + [deferred.values, outcome.final_field.values], outcome.series
-
-        padded, padded_records = steps()
-        assert _plane_stride_is_padded(padded[-1])
-        monkeypatch.setattr(
-            dynamics, "_field_buffer", lambda grid: np.empty(grid.shape, dtype=np.complex128)
-        )
-        contiguous, contiguous_records = steps()
-        assert contiguous[-1].flags.c_contiguous
-        for k, (a, b) in enumerate(zip(padded, contiguous, strict=True)):
-            assert _same_bits(a, b), k
-        # the records' masses round apart here, by 3.4e-15 relative at most
-        assert len(padded_records) == len(contiguous_records) == 6
-        for a, b in zip(padded_records, contiguous_records):
-            _assert_equal_but_for_the_mass_sum(a, b, [f.name for f in dataclasses.fields(a)])
+            assert values.flags.c_contiguous
+        if n == 3:  # a step from a strided copy writes a C-contiguous buffer
+            strided = _strided_view(cfg.grid)
+            strided[...] = u0.values
+            from_strided, _ = strang_step(Field(cfg.grid, strided), cfg, 1e-3)
+            assert from_strided.values.flags.c_contiguous
+            assert _same_bits(from_strided.values, out.values)
 
     @pytest.mark.parametrize("points", [16, 32, 64])
-    def test_observables_of_a_padded_field_equal_those_of_its_copy(self, points):
-        # bit for bit, except the mass sum, its boundary fraction and
-        # hs_norm(u, 0) = sqrt(mass)
+    def test_observables_of_a_strided_field_equal_those_of_its_copy(self, points):
         grid = GridSpec.tensor(3, 12.0, points)
         cfg = replace(
             _small_tensor_config(3, -1.0), grid=grid, weight=PotentialWeight(0.5, grid.spacing)
         )
         rng = np.random.default_rng(points)
         values = gaussian_field(grid, 1.5, 1.0).values * np.exp(1j * rng.standard_normal(grid.shape))
-        padded = dynamics._field_buffer(grid)
-        padded[...] = values
-        assert _plane_stride_is_padded(padded)
-        u, copy = Field(grid, padded, 0.25), Field(grid, values, 0.25)
+        strided = _strided_view(grid)
+        strided[...] = values
+        u, copy = Field(grid, strided, 0.25), Field(grid, values, 0.25)
         density = nonlinear_density(copy, cfg.weight, cfg.sigma)
         assert _same_bits(nonlinear_density(u, cfg.weight, cfg.sigma), density)
-        for s in (1, 0.5, 2):
+        for s in (0, 1, 0.5, 2):
             assert hs_norm(u, s) == hs_norm(copy, s), s
-        assert hs_norm(u, 0) == pytest.approx(hs_norm(copy, 0), rel=1e-14)
-        got, want = grids.moments(u, density), grids.moments(copy, density)
-        _assert_equal_but_for_the_mass_sum(got, want, grids.Moments._fields)
+        assert grids.moments(u, density) == grids.moments(copy, density)
         got, want = make_record(u, cfg, 1e-3), make_record(copy, cfg, 1e-3)
-        _assert_equal_but_for_the_mass_sum(got, want, [f.name for f in dataclasses.fields(got)])
+        for name in (f.name for f in dataclasses.fields(got)):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def _radial_config(**changes):

@@ -382,19 +382,17 @@ class TestMassSumOfSquares:
             flat = float(np.einsum("i,i->", pairs, pairs) * grid.cell_measure)
             assert geometry(grid).mass(v).hex() == flat.hex()
 
-    def test_padded_field_is_read_in_place(self):
+    def test_contiguous_field_is_read_in_place(self):
         grid = GridSpec.tensor(3, 12.0, 32)
-        v = dynamics._field_buffer(grid)
-        v[...] = gaussian_field(grid, 1.0, 1.0).values
+        v = gaussian_field(grid, 1.0, 1.0).values
         geometry(grid).mass(v)  # builds nothing on a later call
         tracemalloc.start()
         try:
-            got = geometry(grid).mass(v)
+            geometry(grid).mass(v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4096  # bytes; a contiguous copy is 512 KiB
-        assert got == pytest.approx(mass(Field(grid, v.copy())), rel=1e-14)
+        assert peak < 4096  # bytes; a copy is 512 KiB
 
     @pytest.mark.parametrize("shape", [(64,), (16, 8), (8, 4, 4)])
     def test_planewise_squares_equal_the_whole_array_formula(self, shape):
@@ -1048,26 +1046,33 @@ class TestFieldDump:
         assert loaded.grid == grid and hash(loaded.grid) == hash(grid)
         assert (loaded.grid.extent, loaded.grid.r_max) == (grid.extent, grid.r_max)
 
-    def test_padded_field_dumps_as_its_contiguous_copy(self, tmp_path):
+    def test_strided_field_dumps_as_its_contiguous_copy(self, tmp_path):
         grid = GridSpec.tensor(3, 12.0, 32)
         rng = np.random.default_rng(4)
-        padded = dynamics._field_buffer(grid)
-        padded[...] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        contiguous = padded.copy()
-        assert not padded.flags.c_contiguous and contiguous.flags.c_contiguous
+        strided = np.empty((32, 32 * 32 + 4), dtype=complex)[:, : 32 * 32].reshape(grid.shape)
+        strided[...] = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        contiguous = strided.copy()
+        assert not strided.flags.c_contiguous and contiguous.flags.c_contiguous
         meta = {"b": 0.5, "delta": 0.25, "sigma": 3.0, "lambda": -1.0}
         dump_field(Field(grid, contiguous, 0.5), tmp_path / "contiguous.bin", meta)
+        dump_field(Field(grid, strided, 0.5), tmp_path / "strided.bin", meta)
+        data = (tmp_path / "strided.bin").read_bytes()
+        assert data == (tmp_path / "contiguous.bin").read_bytes()
+        loaded, _ = load_field(tmp_path / "strided.bin")
+        assert loaded.values.tobytes() == contiguous.tobytes()
+
+    def test_contiguous_field_is_dumped_without_a_copy(self, tmp_path):
+        grid = GridSpec.tensor(3, 12.0, 32)
+        u = gaussian_field(grid, 1.0, 1.0)
+        meta = {"b": 0.5, "delta": 0.25, "sigma": 3.0, "lambda": -1.0}
+        dump_field(u, tmp_path / "warm.bin", meta)
         tracemalloc.start()
         try:
-            dump_field(Field(grid, padded, 0.5), tmp_path / "padded.bin", meta)
+            dump_field(u, tmp_path / "field.bin", meta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < padded[0].nbytes  # no copy of the field, not even of a plane
-        data = (tmp_path / "padded.bin").read_bytes()
-        assert data == (tmp_path / "contiguous.bin").read_bytes()
-        loaded, _ = load_field(tmp_path / "padded.bin")
-        assert loaded.values.tobytes() == contiguous.tobytes()
+        assert peak < u.values[0].nbytes  # no copy of the field, not even of a plane
 
     def test_header_is_json_line(self, tmp_path):
         grid = GridSpec.radial(3, 8.0, 64)

@@ -292,8 +292,9 @@ class TestGroundStateCommand:
     def test_unwritable_json_path_is_refused(self, tmp_path, capsys):
         json_path = tmp_path / "nodir" / "x.json"
         code = cli.main(["ground-state", "--n", "3", "--b", "1/2", "--json", str(json_path)])
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        err = captured.err
+        assert code == EXIT_USAGE and captured.out == ""
         assert err.startswith(f"cannot write {json_path}: ") and err.count("\n") == 1
         assert not json_path.parent.exists()
 
@@ -707,6 +708,24 @@ class TestVirialReportCommand:
             for k in range(4):
                 writer.writerow([str(k * 0.1), "1.0"])
         assert cli.main(["virial-report", str(path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "times",
+        [["0.0", "0.1", "0.1", "0.3"], ["0.0", "0.2", "0.1", "0.3"], ["0.0", "0.1", "nan", "0.3"]],
+        ids=["repeated", "decreasing", "nan"],
+    )
+    def test_t_not_finite_and_increasing_is_refused(self, times, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "variance", "virial_rhs"])
+            for t in times:
+                writer.writerow([t, "1.0", "2.0"])
+        code = cli.main(["virial-report", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "series t must be finite and strictly increasing\n"
+        assert not (tmp_path / "s.virial.csv").exists()
 
     def test_unwritable_report_path_is_refused(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
